@@ -138,7 +138,8 @@ class EnvHandle:
         batch = self.env.sample(x, int(m), rng)
         if batch.batch_size != m:
             raise RuntimeError("environment returned a batch of the wrong size")
-        if not np.array_equal(batch.probe, np.asarray(x, dtype=np.float64)):
+        x = np.asarray(x, dtype=np.float64)
+        if batch.probe.shape != x.shape or not (batch.probe == x).all():
             raise RuntimeError("environment did not record the probe it was given")
         self.ledger.add(m)
         return batch

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -401,19 +402,30 @@ class ExperimentOutcome:
     any_diverged: bool
 
 
+def _finite_or_null(value):
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _trace_to_json(t: IterTrace) -> str:
-    return json.dumps(
-        {
-            "k": t.k,
-            "x": list(t.x),
-            "mu": t.mu,
-            "c": t.c,
-            "grad_norm_sq": t.grad_norm_sq,
-            "cumulative_draws": t.cumulative_draws,
-            "beta": t.beta,
-            "obj_probe": t.obj_probe,
-        }
-    )
+    """One strict-JSON trace line; non-finite floats are written as null."""
+    row = {
+        "k": t.k,
+        "x": list(t.x),
+        "mu": t.mu,
+        "c": t.c,
+        "grad_norm_sq": t.grad_norm_sq,
+        "cumulative_draws": t.cumulative_draws,
+        "beta": t.beta,
+        "obj_probe": t.obj_probe,
+    }
+    try:
+        return json.dumps(row, allow_nan=False)
+    except ValueError:  # a diverged iterate: strict JSON has no inf or nan
+        return json.dumps({k: _finite_or_null(v) for k, v in row.items()}, allow_nan=False)
 
 
 def write_trace(path: Path, traces: list[IterTrace]) -> None:
@@ -452,16 +464,19 @@ def summarize(records: list[RunRecord], methods: tuple[str, ...]) -> list[Summar
     """Per-method mean/sd plus Welch tests against the baseline method.
 
     The baseline is ``czo1-mini`` when present, else ``czo1-b1``, else the
-    first method; the baseline's own test fields are NaN.
+    first method; the baseline's own test fields are NaN, and so are those
+    of a method when it or the baseline has a diverged run.
     """
     baseline = next(
         (m for m in ("czo1-mini", "czo1-b1") if m in methods), methods[0]
     )
     by_method = {m: [r for r in records if r.method == m] for m in methods}
     base_objs = np.array([r.obj for r in by_method[baseline]], dtype=np.float64)
+    base_diverged = any(r.diverged for r in by_method[baseline])
     rows = []
     for m in methods:
         objs = np.array([r.obj for r in by_method[m]], dtype=np.float64)
+        n_diverged = sum(r.diverged for r in by_method[m])
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(np.mean(objs))
             sd = float(np.std(objs, ddof=1)) if objs.size > 1 else 0.0
@@ -469,12 +484,15 @@ def summarize(records: list[RunRecord], methods: tuple[str, ...]) -> list[Summar
             m != baseline
             and objs.size >= 2
             and base_objs.size >= 2
+            and not n_diverged
+            and not base_diverged
             and bool(np.all(np.isfinite(objs)) and np.all(np.isfinite(base_objs)))
         )
         if comparable:
             t_stat, p_value = welch_t(objs, base_objs)
         else:
-            # a t-test over non-finite objectives (diverged runs) is noise
+            # a t-test over diverged runs is noise, even when their
+            # objectives are huge but finite
             t_stat = p_value = float("nan")
         rows.append(
             SummaryRow(
@@ -482,7 +500,7 @@ def summarize(records: list[RunRecord], methods: tuple[str, ...]) -> list[Summar
                 mean_obj=mean,
                 sd_obj=sd,
                 n=objs.size,
-                n_diverged=sum(r.diverged for r in by_method[m]),
+                n_diverged=n_diverged,
                 t_stat=t_stat,
                 p_value=p_value,
                 baseline=baseline,
@@ -511,8 +529,17 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> ExperimentOutcome:
     Outputs under ``spec.output_dir``: ``config.txt`` (the resolved spec),
     ``traces/<method>__seed<seed>.jsonl``, ``runs.jsonl`` (one record per
     run), and ``summary.csv``. ``echo``, when given, receives one progress
-    line per run.
+    line per run. Raises :class:`ConfigError`, before anything is written,
+    when the environment or a method's run configuration cannot be built.
     """
+    seeds = spec.resolved_seeds()
+    try:
+        d = build_environment(spec, seeds[0]).dim()
+        for method_token in spec.methods:
+            build_run_config(spec, method_token, seeds[0], d)
+    except (ValueError, OSError) as exc:  # ConfigError included
+        raise ConfigError(str(exc)) from exc
+
     out_dir = Path(spec.output_dir)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
@@ -520,7 +547,6 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> ExperimentOutcome:
 
     records: list[RunRecord] = []
     trace_paths: dict[tuple[str, int], Path] = {}
-    seeds = spec.resolved_seeds()
     for seed in seeds:
         env = build_environment(spec, seed)
         for method_token in spec.methods:

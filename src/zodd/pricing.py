@@ -173,10 +173,21 @@ def pricing_f(spec: PricingEnvSpec, x, xi) -> float:
 
 
 class PricingEnv(Environment):
-    """The pricing problem as a sampling environment."""
+    """The pricing problem as a sampling environment.
+
+    Outcomes are integer buyer counts in ``[0, m_buyers]``, one per option,
+    as :meth:`sample` draws them. A count takes only ``m_buyers + 1``
+    values, so the constructor tabulates :func:`piecewise_cost` once for
+    every count and product, an ``(m_buyers + 1, n)`` array, and
+    :meth:`eval_f_batch` looks costs up there; the table holds the
+    formula's own values, so the results are those of the formula bit for
+    bit.
+    """
 
     def __init__(self, spec: PricingEnvSpec) -> None:
         self.spec = spec
+        self._cost_table = piecewise_cost(spec, np.arange(spec.m_buyers + 1.0)[:, None])
+        self._products = np.arange(spec.n)
 
     def dim(self) -> int:
         return self.spec.n
@@ -193,9 +204,24 @@ class PricingEnv(Environment):
         return pricing_f(self.spec, x, xi)
 
     def eval_f_batch(self, x, outcomes) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        sold = np.asarray(outcomes, dtype=np.float64)[:, 1:]
-        return -sold @ x + piecewise_cost(self.spec, sold).sum(axis=-1)
+        """f at ``x`` for each row of ``outcomes``.
+
+        ``outcomes`` is an integer array of shape ``(rows, n + 1)`` holding
+        counts in ``[0, m_buyers]``; anything else raises ``ValueError``.
+        Costs are looked up in the per-instance table of
+        :func:`piecewise_cost` values.
+        """
+        m_buyers = self.spec.m_buyers
+        counts = np.asarray(outcomes)[:, 1:]
+        revenue = counts.astype(np.float64) @ np.asarray(x, dtype=np.float64)
+        # a count outside the table would index it from its end or past it
+        if not (
+            counts.dtype.kind in "iu"
+            and counts.min(initial=0) >= 0
+            and counts.max(initial=0) <= m_buyers
+        ):
+            raise ValueError(f"outcomes must be integer buyer counts in [0, {m_buyers}]")
+        return -revenue + self._cost_table[counts, self._products].sum(axis=-1)
 
 
 def synth_theta(

@@ -6,13 +6,16 @@ import pytest
 from zodd import (
     DeterministicEnv,
     EstimatorSample,
+    PricingEnv,
     QuadraticShiftOracle,
     SmoothingState,
+    make_pricing_spec,
     moment_samples,
     one_point_estimate,
     register_env,
     second_moment,
     split_rng,
+    synth_theta,
     two_point_estimate,
 )
 
@@ -155,3 +158,35 @@ def test_estimator_sample_is_frozen():
     )
     with pytest.raises(AttributeError):
         est.mu = 0.2
+
+
+def test_estimates_equal_an_np_mean_reference_bit_for_bit():
+    # the estimators' batch means must round exactly as np.mean does
+    def reference(env, x, state, m, rng, env_rng, kind):
+        u = rng.standard_normal(x.size)
+        signs = (1.0,) if kind == "one-point" else (1.0, -1.0)
+        means = []
+        for sign in signs:
+            probe = x + sign * state.mu * u
+            batch = env.sample(probe, m, env_rng)
+            means.append(float(np.mean(env.eval_f_batch(probe, batch.outcomes))))
+        if kind == "one-point":
+            return ((means[0] - state.c) / state.mu) * u
+        return ((means[0] - means[1]) / (2.0 * state.mu)) * u
+
+    pricing = PricingEnv(make_pricing_spec(10, 40, *synth_theta(10, split_rng(16, 0))))
+    oracle = QuadraticShiftOracle(0.2 * np.eye(5), np.full(5, 0.45), 1.0)
+    for env, x in ((pricing, np.full(10, 0.5)), (oracle, np.ones(5))):
+        for m in (1, 7, 30):
+            for kind, estimate in (
+                ("one-point", one_point_estimate),
+                ("two-point", two_point_estimate),
+            ):
+                state = SmoothingState(0.19, -1.3)
+                got_rngs = (split_rng(17, 0), split_rng(17, 1))
+                ref_rngs = (split_rng(17, 0), split_rng(17, 1))
+                handle, ref_handle = register_env(env), register_env(env)
+                for _ in range(40):
+                    g = estimate(handle, x, state, m, *got_rngs).g
+                    expect = reference(ref_handle, x, state, m, *ref_rngs, kind)
+                    assert np.array_equal(g, expect)

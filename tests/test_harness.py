@@ -27,7 +27,13 @@ from zodd import (
     write_trace,
 )
 from zodd.cli import main as cli_main
-from zodd.harness import METHOD_GRID, RunRecord, build_environment, build_run_config
+from zodd.harness import (
+    METHOD_GRID,
+    RunRecord,
+    _trace_to_json,
+    build_environment,
+    build_run_config,
+)
 from zodd.optimize import AffineBatch, ConstantBatch, ConstantBeta, GeometricBeta
 
 
@@ -212,6 +218,70 @@ def test_summary_baseline_fallback():
     assert all(r.baseline == "czo1-b1" for r in rows2)
 
 
+def test_summary_gives_no_test_against_diverged_runs():
+    rng = np.random.default_rng(10)
+    methods = ("alg1-mini", "alg2-mini", "czo1-mini")
+
+    def summary(diverged):
+        records = _fake_records(rng, methods, 6)
+        for rec in records:
+            rec.diverged = (rec.method, rec.seed) in diverged
+        return {r.method: r for r in summarize(records, methods)}
+
+    # a diverged run of a method blanks that method's test only; huge but
+    # finite objectives do not make a diverged run comparable
+    rows = summary({("alg1-mini", 2)})
+    assert rows["alg1-mini"].n_diverged == 1
+    assert np.isnan(rows["alg1-mini"].t_stat) and np.isnan(rows["alg1-mini"].p_value)
+    assert np.isfinite(rows["alg2-mini"].p_value)
+    # a diverged baseline run blanks every test
+    rows = summary({("czo1-mini", 0), ("alg2-mini", 4)})
+    assert all(np.isnan(r.t_stat) and np.isnan(r.p_value) for r in rows.values())
+    assert [rows[m].n_diverged for m in methods] == [0, 1, 1]
+    rows = summary(set())
+    assert all(np.isfinite(rows[m].p_value) for m in ("alg1-mini", "alg2-mini"))
+
+
+def test_diverged_run_writes_strict_json_traces(tmp_path):
+    # method.beta0=50 makes both alg1 runs diverge on the default instances
+    spec = ExperimentSpec(
+        methods=("alg1-mini", "czo1-mini"), n_instances=2, beta0=50.0,
+        metric_samples=100, output_dir=str(tmp_path / "out"),
+    )
+    outcome = run_experiment(spec)
+    assert [r.diverged for r in outcome.records if r.method == "alg1-mini"] == [True, True]
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    nulled = 0
+    for path in outcome.trace_paths.values():
+        for line in path.read_text().splitlines():
+            row = json.loads(line, parse_constant=refuse)
+            nulled += row["grad_norm_sq"] is None or None in row["x"]
+    assert nulled > 0
+    with open(Path(spec.output_dir) / "summary.csv", newline="") as fh:
+        alg1 = next(r for r in csv.DictReader(fh) if r["method"] == "alg1-mini")
+    assert alg1["n_diverged"] == "2" and alg1["p_value"] == "" and alg1["t_stat"] == ""
+
+
+def test_trace_lines_null_only_non_finite_values():
+    finite = IterTrace(k=3, x=np.array([0.1, -2.5e300]), mu=0.19, c=-1.25,
+                       grad_norm_sq=4.0, cumulative_draws=96, beta=9.5e-4, obj_probe=None)
+    plain = json.dumps({
+        "k": 3, "x": [0.1, -2.5e300], "mu": 0.19, "c": -1.25, "grad_norm_sq": 4.0,
+        "cumulative_draws": 96, "beta": 9.5e-4, "obj_probe": None,
+    })
+    assert _trace_to_json(finite) == plain
+    runaway = dataclasses.replace(
+        finite, x=np.array([np.inf, 1.5]), c=np.nan, grad_norm_sq=float("inf")
+    )
+    assert json.loads(_trace_to_json(runaway)) == {
+        "k": 3, "x": [None, 1.5], "mu": 0.19, "c": None, "grad_norm_sq": None,
+        "cumulative_draws": 96, "beta": 9.5e-4, "obj_probe": None,
+    }
+
+
 def test_trace_roundtrip(tmp_path):
     traces = [
         IterTrace(k=0, x=np.array([1.0, 2.0]), mu=0.1, c=3.5, grad_norm_sq=4.0,
@@ -328,6 +398,28 @@ def test_cli_run_verify_plotdata(tmp_path, capsys):
     assert "unknown env.kind" in capsys.readouterr().err
     assert cli_main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "method.gamma=2",
+        "method.beta0=0",
+        "method.mu_min=0.5",  # above mu0
+        "method.czo_beta=-1e-5",
+        "method.m0=0",
+        "method.x0_fill=nan",
+        "env.gamma_sens=-1",
+        "env.theta_file={tmp}/missing.txt",
+    ],
+)
+def test_cli_run_bad_values_exit_2_before_writing(tmp_path, capsys, line):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(line.format(tmp=tmp_path) + "\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_verify_exit_codes(capsys):

@@ -10,12 +10,15 @@ from zodd import (
     DeterministicEnv,
     Environment,
     HistoryWindow,
+    PricingEnv,
     SampleBatch,
     compute_c,
     compute_weights,
     estimate_initial_c,
+    make_pricing_spec,
     register_env,
     split_rng,
+    synth_theta,
 )
 
 
@@ -139,6 +142,20 @@ def test_compute_c_reweighs_stored_outcomes_without_sampling():
     c = compute_c(win, wv, np.zeros(2), env)
     assert c == pytest.approx(wv.a[0] * 4.0 + wv.a[1] * 1.0, rel=1e-14)
     assert env.total_draws == 0
+
+
+def test_compute_c_equals_an_np_mean_reference_bit_for_bit():
+    rng = split_rng(26, 0)
+    env = register_env(PricingEnv(make_pricing_spec(10, 40, *synth_theta(10, rng))))
+    win = HistoryWindow(10)
+    for k in range(25):
+        win.push(env.sample(rng.uniform(0.3, 1.2, 10), int(rng.integers(1, 40)), rng))
+        x_next = rng.uniform(0.3, 1.2, 10)
+        wv = compute_weights(win, x_next, 0.1)
+        expect = 0.0
+        for a_i, batch in zip(wv.a, win.entries):
+            expect += a_i * float(np.mean(env.eval_f_batch(x_next, batch.outcomes)))
+        assert compute_c(win, wv, x_next, env) == expect
 
 
 def test_compute_c_requires_matching_weights():

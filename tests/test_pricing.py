@@ -201,3 +201,51 @@ def test_metric_uses_its_own_ledger():
     assert np.isfinite(val)
     assert led.total_draws == 500
     assert budget_env.total_draws == 0
+
+
+def _formula_f_batch(spec, x, outcomes):
+    # the cost formula evaluated on the outcomes themselves, no table
+    sold = np.asarray(outcomes, dtype=np.float64)[:, 1:]
+    return -sold @ x + piecewise_cost(spec, sold).sum(axis=-1)
+
+
+def test_eval_f_batch_is_bit_identical_to_the_cost_formula():
+    rng = split_rng(40, 0)
+    for inst in range(24):
+        n = int(rng.integers(1, 16))
+        m_buyers = int(rng.choice([1, 7, 40, 150]))
+        spec = make_pricing_spec(n, m_buyers, *synth_theta(n, split_rng(inst, 0)))
+        env = PricingEnv(spec)
+        for m in (1, 30, 1000):
+            # ordinary prices, prices far below and far above the reference
+            for x in (
+                spec.theta * rng.uniform(0.5, 1.5, n),
+                spec.theta - 1e3,
+                spec.theta + rng.uniform(-1e6, 1e6, n),
+            ):
+                outcomes = env.sample(x, m, rng).outcomes
+                got = env.eval_f_batch(x, outcomes)
+                assert np.array_equal(got, _formula_f_batch(spec, x, outcomes))
+        # every count the table holds, from 0 to m_buyers in each product
+        counts = np.zeros((m_buyers + 1, n + 1), dtype=np.int64)
+        counts[:, 1:] = np.arange(m_buyers + 1)[:, None]
+        x = spec.theta * rng.uniform(0.5, 1.5, n)
+        assert np.array_equal(env.eval_f_batch(x, counts), _formula_f_batch(spec, x, counts))
+
+
+@pytest.mark.parametrize(
+    "outcomes",
+    [
+        np.array([[0.0, 3.0, 7.0]]),  # whole numbers, but not integers
+        np.array([[0, 3.5, 1]]),
+        np.array([[False, True, False]]),
+        np.array([[0, -1, 2]]),  # would wrap to the table's last row
+        np.array([[0, 2, -9]]),  # would wrap to the table's first row
+        np.array([[0, 9, 0]]),
+        np.array([[0, 1, 2], [0, 3, 2**40]]),
+    ],
+)
+def test_eval_f_batch_refuses_counts_outside_the_table(outcomes):
+    spec = make_pricing_spec(2, 8, np.array([1.0, 2.0]), np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match=r"integer buyer counts in \[0, 8\]"):
+        PricingEnv(spec).eval_f_batch(np.ones(2), outcomes)
