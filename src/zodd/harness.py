@@ -411,7 +411,38 @@ def _finite_or_null(value):
 
 
 def _trace_to_json(t: IterTrace) -> str:
-    """One strict-JSON trace line; non-finite floats are written as null."""
+    """One strict-JSON trace line; non-finite floats are written as null.
+
+    The line is ``json.dumps`` of the row, byte for byte: each float is
+    written with ``float.__repr__`` and each int with ``int.__repr__``, as
+    ``json`` writes them, without its per-call encoder set-up. A value of
+    another type, or a non-finite one, takes the ``json.dumps`` path.
+    """
+    try:
+        line = (
+            f'{{"k": {_int_repr(t.k)}, "x": [{", ".join(map(_float_repr, t.x.tolist()))}], '
+            f'"mu": {_float_repr(t.mu)}, "c": {_opt_float_repr(t.c)}, '
+            f'"grad_norm_sq": {_float_repr(t.grad_norm_sq)}, '
+            f'"cumulative_draws": {_int_repr(t.cumulative_draws)}, '
+            f'"beta": {_float_repr(t.beta)}, "obj_probe": {_opt_float_repr(t.obj_probe)}}}'
+        )
+    except (TypeError, AttributeError):
+        line = None
+    # "inf" and "nan" are the only float reprs the keys and null cannot spell
+    if line is None or "inf" in line or "nan" in line:
+        line = _strict_json(t)
+    return line
+
+
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _opt_float_repr(value) -> str:
+    return "null" if value is None else _float_repr(value)
+
+
+def _strict_json(t: IterTrace) -> str:
     row = {
         "k": t.k,
         "x": list(t.x),
@@ -429,6 +460,7 @@ def _trace_to_json(t: IterTrace) -> str:
 
 
 def write_trace(path: Path, traces: list[IterTrace]) -> None:
+    """Write one :func:`_trace_to_json` line per iteration, one line at a time."""
     with open(path, "w") as fh:
         for t in traces:
             fh.write(_trace_to_json(t) + "\n")

@@ -11,6 +11,7 @@ and small batches score worse) and the minimizer has the closed form
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -28,31 +29,65 @@ __all__ = [
 
 
 class HistoryWindow:
-    """FIFO window of the most recent sample batches, capacity ``s_max``."""
+    """FIFO window of the most recent sample batches, capacity ``s_max``.
+
+    Next to the batches the window keeps the arrays the weights are scored
+    from, oldest entry first: the probes as an ``(entries, d)`` array, the
+    batch sizes as ``int64`` and their reciprocals ``1/m_i``. :meth:`push`
+    builds the next arrays from the last ones, dropping the evicted row and
+    appending the new one, instead of restacking the whole window. The
+    arrays are read-only, so what :meth:`probes` and :meth:`batch_sizes`
+    return stays as it was when later batches are pushed.
+    """
 
     def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError("history capacity must be >= 1")
         self.capacity = int(capacity)
         self._entries: deque[SampleBatch] = deque(maxlen=self.capacity)
+        self._probes: np.ndarray | None = None
+        self._sizes = _frozen(np.empty(0, dtype=np.int64))
+        self._inv_sizes = _frozen(np.empty(0))
 
     def push(self, batch: SampleBatch) -> None:
         """Insert a batch, evicting the oldest entry when full."""
+        probes = np.array([batch.probe])
+        sizes = np.array([batch.batch_size], dtype=np.int64)
+        if self._entries:
+            # a full window evicts its oldest entry, the first row
+            keep = 1 if len(self._entries) == self.capacity else 0
+            probes = np.concatenate((self._probes[keep:], probes))
+            sizes = np.concatenate((self._sizes[keep:], sizes))
         self._entries.append(batch)
+        self._probes = _frozen(probes)
+        self._sizes = _frozen(sizes)
+        self._inv_sizes = _frozen(1.0 / sizes)
 
     @property
     def entries(self) -> tuple[SampleBatch, ...]:
         return tuple(self._entries)
 
     def probes(self) -> np.ndarray:
-        """Stacked probe points, one row per entry (oldest first)."""
-        return np.stack([b.probe for b in self._entries])
+        """Stacked probe points, one row per entry (oldest first), read-only."""
+        if self._probes is None:
+            raise ValueError("history is empty")
+        return self._probes
 
     def batch_sizes(self) -> np.ndarray:
-        return np.array([b.batch_size for b in self._entries], dtype=np.int64)
+        """Batch sizes as ``int64``, one per entry (oldest first), read-only."""
+        return self._sizes
+
+    def inverse_batch_sizes(self) -> np.ndarray:
+        """``1 / batch_sizes()``, computed once per push, read-only."""
+        return self._inv_sizes
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -86,13 +121,13 @@ def compute_weights(
     s = len(history)
     if s == 0:
         raise ValueError("history is empty; use the initial offset instead")
-    if m_scale < 0 or not np.isfinite(m_scale):
+    if m_scale < 0 or not math.isfinite(m_scale):
         raise ValueError("m_scale must be finite and >= 0")
     x_next = np.asarray(x_next, dtype=np.float64)
     diffs = history.probes() - x_next
     sq_dist = np.einsum("ij,ij->i", diffs, diffs)
-    b = m_scale * sq_dist + 1.0 / history.batch_sizes()
-    if not np.all(np.isfinite(b)):
+    b = m_scale * sq_dist + history.inverse_batch_sizes()
+    if not np.isfinite(b).all():
         raise ValueError("non-finite weight scores")
     if uniform:
         a = np.full(s, 1.0 / s)
@@ -118,10 +153,11 @@ def compute_c(
         raise ValueError("weight vector does not match history length")
     x_next = np.asarray(x_next, dtype=np.float64)
     c = 0.0
-    for a_i, batch in zip(weights.a, history.entries):
+    for a_i, batch in zip(weights.a.tolist(), history.entries):
         vals = env.eval_f_batch(x_next, batch.outcomes)
-        # the batch mean as np.mean computes it, bit for bit, at less cost
-        c += a_i * (float(vals.sum()) / batch.batch_size)
+        # the batch mean as np.mean computes it, bit for bit, at less cost:
+        # np.add.reduce is the sum np.mean and ndarray.sum call
+        c += a_i * (float(np.add.reduce(vals, axis=None)) / batch.batch_size)
     return c
 
 

@@ -130,7 +130,7 @@ class RunConfig:
     m_scale : squared-distance coefficient in the reuse weight scores.
     beta_schedule, batch_schedule : per-iteration step and batch sizes.
     c0_samples : draws spent estimating the initial offset (0 skips the
-        estimate and starts from ``c = 0``).
+        estimate and starts from ``c = 0``); at most ``sample_budget``.
     sample_budget : hard cap on ledger draws for the run.
     max_iters : hard cap on iterations.
     seed : root seed from which all run streams are derived.
@@ -174,6 +174,8 @@ class RunConfig:
             raise ValueError("c0_samples must be >= 0")
         if self.sample_budget < 1:
             raise ValueError("sample_budget must be >= 1")
+        if self.c0_samples > self.sample_budget:
+            raise ValueError("c0_samples must not exceed sample_budget")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.method not in METHODS:
@@ -291,7 +293,7 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
     else:
         history = HistoryWindow(cfg.s_max)
         c = 0.0
-        if 0 < cfg.c0_samples <= cfg.sample_budget:
+        if cfg.c0_samples > 0:
             c = estimate_initial_c(env, x, cfg.c0_samples, rng_c0)
 
     traces: list[IterTrace] = []
@@ -311,7 +313,7 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
         with np.errstate(over="ignore"):
             gn2 = float(est.g @ est.g)
 
-        if not np.all(np.isfinite(est.g)):
+        if not np.isfinite(est.g).all():
             diverged = True
             traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
             break
@@ -319,7 +321,7 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
         # norm check also catches iterates whose squared distance overflows,
         # which would poison the weight scores below
         with np.errstate(over="ignore"):
-            xn2 = float(x_next @ x_next) if np.all(np.isfinite(x_next)) else np.inf
+            xn2 = float(x_next @ x_next) if np.isfinite(x_next).all() else np.inf
         if not np.isfinite(xn2):
             diverged = True
             traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
@@ -329,7 +331,7 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
             history.push(est.batches[0])
             w = compute_weights(history, x_next, cfg.m_scale, cfg.uniform_weights)
             c_next = compute_c(history, w, x_next, env)
-            if not np.isfinite(c_next):
+            if not math.isfinite(c_next):
                 diverged = True
                 traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
                 break
@@ -386,13 +388,13 @@ def _two_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
         with np.errstate(over="ignore"):
             gn2 = float(est.g @ est.g)
 
-        if not np.all(np.isfinite(est.g)):
+        if not np.isfinite(est.g).all():
             diverged = True
             traces.append(IterTrace(k, x.copy(), mu, None, gn2, cum, beta_k))
             break
         x_next = x - beta_k * est.g
         with np.errstate(over="ignore"):
-            xn2 = float(x_next @ x_next) if np.all(np.isfinite(x_next)) else np.inf
+            xn2 = float(x_next @ x_next) if np.isfinite(x_next).all() else np.inf
         if not np.isfinite(xn2):
             diverged = True
             traces.append(IterTrace(k, x.copy(), mu, None, gn2, cum, beta_k))

@@ -12,6 +12,7 @@ profit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,25 +119,35 @@ def choice_probs(spec: PricingEnvSpec, x) -> np.ndarray:
     weight ``exp(gamma_i (theta_i - x_i))``. Computed as a max-shifted
     softmax so extreme prices cannot overflow.
     """
-    x = as_decision_vector(x, spec.n)
-    logits = np.concatenate(([np.log(spec.a0)], spec.gamma_sens * (spec.theta - x)))
+    return _choice_probs(spec, np.log(spec.a0), as_decision_vector(x, spec.n))
+
+
+def _choice_probs(spec: PricingEnvSpec, log_a0: float, x: np.ndarray) -> np.ndarray:
+    # x is a validated decision vector and log_a0 is np.log(spec.a0); the
+    # logits are built in place, element for element as concatenating them
+    logits = np.empty(spec.n + 1)
+    logits[0] = log_a0
+    np.multiply(spec.gamma_sens, spec.theta - x, out=logits[1:])
     logits -= logits.max()
-    e = np.exp(logits)
-    return e / e.sum()
+    np.exp(logits, out=logits)
+    return logits / logits.sum()
 
 
 def _tally_choices(p: np.ndarray, n: int, m_buyers: int, draws: np.ndarray) -> np.ndarray:
     # draws: uniform[0,1) of shape (..., m_buyers); inverse-CDF categorical.
-    cdf = np.cumsum(p)
+    cdf = p.cumsum()
     cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.minimum(idx, n)
+    # cdf[-1] = 1.0 exceeds every draw, so no index passes n, whatever p holds
+    idx = cdf.searchsorted(draws, side="right")
     if idx.ndim == 1:
-        return np.bincount(idx, minlength=n + 1).astype(np.int64)
+        return np.bincount(idx, minlength=n + 1).astype(np.int64, copy=False)
     rows = idx.shape[0]
-    flat = idx + (n + 1) * np.arange(rows)[:, None]
-    counts = np.bincount(flat.ravel(), minlength=rows * (n + 1))
-    return counts.reshape(rows, n + 1).astype(np.int64)
+    if rows == 1:
+        counts = np.bincount(idx[0], minlength=n + 1)
+    else:
+        flat = idx + (n + 1) * np.arange(rows)[:, None]
+        counts = np.bincount(flat.ravel(), minlength=rows * (n + 1))
+    return counts.reshape(rows, n + 1).astype(np.int64, copy=False)
 
 
 def sample_demand(spec: PricingEnvSpec, x, rng: np.random.Generator) -> np.ndarray:
@@ -172,6 +183,16 @@ def pricing_f(spec: PricingEnvSpec, x, xi) -> float:
     return float(-x @ sold + piecewise_cost(spec, sold).sum())
 
 
+# Each signed integer type, in either byte order, with the unsigned type of
+# its size and byte order and its own largest value. Seen as unsigned, a
+# negative count lies above every value the signed type can hold.
+_UNSIGNED = {
+    np.dtype(f"{order}i{size}"): (np.dtype(f"{order}u{size}"), 2 ** (8 * size - 1) - 1)
+    for size in (1, 2, 4, 8)
+    for order in "<>"
+}
+
+
 class PricingEnv(Environment):
     """The pricing problem as a sampling environment.
 
@@ -188,6 +209,7 @@ class PricingEnv(Environment):
         self.spec = spec
         self._cost_table = piecewise_cost(spec, np.arange(spec.m_buyers + 1.0)[:, None])
         self._products = np.arange(spec.n)
+        self._log_a0 = np.log(spec.a0)
 
     def dim(self) -> int:
         return self.spec.n
@@ -195,7 +217,11 @@ class PricingEnv(Environment):
     def sample(self, x, m, rng) -> SampleBatch:
         spec = self.spec
         probe = np.array(x, dtype=np.float64, copy=True)
-        p = choice_probs(spec, probe)
+        # a finite sum means finite entries; otherwise the full check decides.
+        # Python's sum of floats overflows quietly where numpy's would warn.
+        if probe.shape != (spec.n,) or not math.isfinite(sum(probe.tolist())):
+            as_decision_vector(probe, spec.n)
+        p = _choice_probs(spec, self._log_a0, probe)
         draws = rng.random((m, spec.m_buyers))
         outcomes = _tally_choices(p, spec.n, spec.m_buyers, draws)
         return SampleBatch(probe=probe, outcomes=outcomes, batch_size=m)
@@ -214,14 +240,19 @@ class PricingEnv(Environment):
         m_buyers = self.spec.m_buyers
         counts = np.asarray(outcomes)[:, 1:]
         revenue = counts.astype(np.float64) @ np.asarray(x, dtype=np.float64)
-        # a count outside the table would index it from its end or past it
-        if not (
-            counts.dtype.kind in "iu"
-            and counts.min(initial=0) >= 0
-            and counts.max(initial=0) <= m_buyers
-        ):
+        # a count outside the table would index it from its end or past it;
+        # one max over the unsigned view of signed counts refuses both
+        kind = counts.dtype.kind
+        if kind == "i":
+            unsigned, signed_max = _UNSIGNED[counts.dtype]
+            counts_seen, limit = counts.view(unsigned), min(m_buyers, signed_max)
+        else:
+            counts_seen, limit = counts, m_buyers
+        # np.maximum.reduce and np.add.reduce are what ndarray.max and
+        # ndarray.sum call, without the Python wrappers around them
+        if kind not in "iu" or np.maximum.reduce(counts_seen, axis=None, initial=0) > limit:
             raise ValueError(f"outcomes must be integer buyer counts in [0, {m_buyers}]")
-        return -revenue + self._cost_table[counts, self._products].sum(axis=-1)
+        return np.add.reduce(self._cost_table[counts, self._products], axis=-1) - revenue
 
 
 def synth_theta(

@@ -282,6 +282,59 @@ def test_trace_lines_null_only_non_finite_values():
     }
 
 
+def _row(t):
+    return {
+        "k": t.k, "x": list(t.x), "mu": t.mu, "c": t.c, "grad_norm_sq": t.grad_norm_sq,
+        "cumulative_draws": t.cumulative_draws, "beta": t.beta, "obj_probe": t.obj_probe,
+    }
+
+
+_LINE = IterTrace(k=17, x=np.array([0.5, -0.0, 5e-324, 1e308, -1.7976931348623157e308]),
+                  mu=0.19, c=None, grad_norm_sq=3.0e-17, cumulative_draws=4321,
+                  beta=9.5e-4 * 0.95**17, obj_probe=None)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"c": -1.2345678901234567, "obj_probe": 4.5},
+        {"c": np.float64(-0.0), "obj_probe": np.float64(1e308)},
+        {"c": 5e-324, "mu": -0.0, "grad_norm_sq": 0.0},
+        {"x": np.array([1e-300, 2.5]), "beta": 1e308, "k": 0, "cumulative_draws": 0},
+        {"mu": 1, "c": 2},  # ints, which json writes without a decimal point
+    ],
+)
+def test_trace_lines_are_json_dumps_byte_for_byte(changes):
+    t = dataclasses.replace(_LINE, **changes)
+    assert _trace_to_json(t) == json.dumps(_row(t), allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"grad_norm_sq": float("inf")},
+        {"c": float("nan"), "obj_probe": -float("inf")},
+        {"x": np.array([np.inf, -0.0]), "mu": float("nan")},
+    ],
+)
+def test_non_finite_trace_lines_write_null(changes):
+    t = dataclasses.replace(_LINE, **changes)
+    row = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
+           for k, v in _row(t).items()}
+    row["x"] = [None if not np.isfinite(v) else v for v in row["x"]]
+    assert _trace_to_json(t) == json.dumps(row, allow_nan=False)
+
+
+def test_write_trace_writes_one_line_per_iteration(tmp_path):
+    traces = [dataclasses.replace(_LINE, k=k, c=float(k) / 3) for k in range(5)]
+    traces.append(dataclasses.replace(_LINE, k=5, grad_norm_sq=float("inf")))
+    path = tmp_path / "t.jsonl"
+    write_trace(path, traces)
+    expect = "".join(_trace_to_json(t) + "\n" for t in traces)
+    assert path.read_text() == expect
+
+
 def test_trace_roundtrip(tmp_path):
     traces = [
         IterTrace(k=0, x=np.array([1.0, 2.0]), mu=0.1, c=3.5, grad_norm_sq=4.0,
@@ -420,6 +473,19 @@ def test_cli_run_bad_values_exit_2_before_writing(tmp_path, capsys, line):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_initial_offset_larger_than_the_budget_is_refused(tmp_path, capsys):
+    # the default alg1 initial offset takes 20 draws, more than the budget
+    spec = ExperimentSpec(budget=10, output_dir=str(tmp_path / "out"))
+    assert spec.c0_samples == 20
+    with pytest.raises(ConfigError, match="c0_samples must not exceed sample_budget"):
+        run_experiment(spec)
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text("run.budget=10\n")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "c0_samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_exit_codes(capsys):

@@ -175,3 +175,38 @@ def test_estimate_initial_c_averages_fresh_draws():
     assert env.total_draws == 20
     with pytest.raises(ValueError):
         estimate_initial_c(env, np.zeros(2), 0, split_rng(25, 0))
+
+
+def test_window_arrays_equal_a_rebuild_after_every_push():
+    rng = split_rng(27, 0)
+    win = HistoryWindow(4)
+    earlier = []
+    for _ in range(15):
+        win.push(batch_at(rng.standard_normal(3), int(rng.integers(1, 60))))
+        probes, sizes, inv = win.probes(), win.batch_sizes(), win.inverse_batch_sizes()
+        # the arrays as the window used to restack them on every call
+        ref_probes = np.stack([b.probe for b in win.entries])
+        ref_sizes = np.array([b.batch_size for b in win.entries], dtype=np.int64)
+        assert probes.dtype == ref_probes.dtype and probes.tobytes() == ref_probes.tobytes()
+        assert sizes.dtype == np.int64 and sizes.tobytes() == ref_sizes.tobytes()
+        assert inv.tobytes() == (1.0 / ref_sizes).tobytes()
+        x_next = rng.standard_normal(3)
+        m_scale = float(rng.uniform(0.0, 3.0))
+        diffs = ref_probes - x_next
+        b = m_scale * np.einsum("ij,ij->i", diffs, diffs) + 1.0 / ref_sizes
+        a = (1.0 / b) / (1.0 / b).sum()
+        wv = compute_weights(win, x_next, m_scale)
+        assert wv.a.tobytes() == a.tobytes() and wv.b.tobytes() == b.tobytes()
+        for arr in (probes, sizes, inv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+        earlier.append((probes, probes.copy()))
+    # a later push leaves the arrays handed out before it as they were
+    assert all(np.array_equal(kept, copy) for kept, copy in earlier)
+
+
+def test_empty_window_has_no_probes():
+    win = HistoryWindow(2)
+    assert win.batch_sizes().shape == (0,)
+    with pytest.raises(ValueError):
+        win.probes()

@@ -92,6 +92,8 @@ def test_run_config_validation():
         base_cfg(sample_budget=0)
     with pytest.raises(ValueError):
         base_cfg(c0_samples=-1)
+    with pytest.raises(ValueError, match="c0_samples must not exceed sample_budget"):
+        base_cfg(c0_samples=21, sample_budget=20)
     with pytest.raises(ValueError):
         base_cfg(x0=np.array([1.0, np.inf, 0.0, 0.0]))
     # gamma = 1 is the legitimate frozen-radius case
@@ -104,6 +106,13 @@ def test_radius_follows_floored_recursion_exactly():
     for t in res.traces:
         assert t.mu == mu
         mu = max(0.95 * mu, 1e-2)
+
+
+def test_initial_offset_may_spend_the_whole_budget():
+    env = register_env(oracle())
+    res = run_alg1(env, base_cfg(c0_samples=40, sample_budget=40))
+    assert res.draws_used == env.total_draws == 40
+    assert res.iterations == 0 and res.traces == []
 
 
 def test_budget_and_draw_accounting():

@@ -243,9 +243,75 @@ def test_eval_f_batch_is_bit_identical_to_the_cost_formula():
         np.array([[0, 2, -9]]),  # would wrap to the table's first row
         np.array([[0, 9, 0]]),
         np.array([[0, 1, 2], [0, 3, 2**40]]),
+        np.array([[0, 3, -1]], dtype=np.int8),
+        np.array([[0, -128, 3]], dtype=np.int8),
+        np.array([[0, 3, -7], [0, 1, 1]], dtype=np.int32),
+        np.array([[0, -2**31, 1]], dtype=">i4"),
+        np.array([[0, 9, 0]], dtype=np.uint8),
+        np.array([[0, 255, 0]], dtype=np.uint8),
+        np.array([[0, 0, 2**64 - 1]], dtype=np.uint64),
     ],
 )
 def test_eval_f_batch_refuses_counts_outside_the_table(outcomes):
     spec = make_pricing_spec(2, 8, np.array([1.0, 2.0]), np.array([0.5, 1.0]))
     with pytest.raises(ValueError, match=r"integer buyer counts in \[0, 8\]"):
         PricingEnv(spec).eval_f_batch(np.ones(2), outcomes)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64, ">i4", ">u2", np.int8])
+def test_eval_f_batch_accepts_every_integer_count_dtype(dtype):
+    spec = default_spec()
+    env = PricingEnv(spec)
+    x = spec.theta * 1.05
+    counts = env.sample(x, 30, split_rng(41, 0)).outcomes
+    assert counts.dtype == np.int64
+    expect = env.eval_f_batch(x, counts)
+    assert np.array_equal(env.eval_f_batch(x, counts.astype(dtype)), expect)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_eval_f_batch_refuses_negative_counts_below_a_wide_table(dtype):
+    # -1 seen as unsigned is 255 (or 65535), inside a table of 70000 buyers
+    spec = make_pricing_spec(2, 70_000, np.array([1.0, 2.0]), np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match=r"integer buyer counts in \[0, 70000\]"):
+        PricingEnv(spec).eval_f_batch(np.ones(2), np.array([[0, 3, -1]], dtype=dtype))
+
+
+def test_choice_probs_equal_the_concatenated_softmax_bit_for_bit():
+    rng = split_rng(42, 0)
+    spec = default_spec()
+    env = PricingEnv(spec)
+    for scale in (1.0, 1e3, 1e300):
+        for _ in range(50):
+            x = spec.theta + scale * rng.standard_normal(spec.n)
+            logits = np.concatenate(([np.log(spec.a0)], spec.gamma_sens * (spec.theta - x)))
+            logits -= logits.max()
+            e = np.exp(logits)
+            expect = e / e.sum()
+            assert choice_probs(spec, x).tobytes() == expect.tobytes()
+            # sampling draws its demand from the same probabilities
+            rng_a, rng_b = split_rng(43, 0), split_rng(43, 0)
+            got = env.sample(x, 1, rng_a).outcomes[0]
+            assert np.array_equal(got, sample_demand(spec, x, rng_b))
+
+
+@pytest.mark.parametrize(
+    "x, reason",
+    [
+        (np.array([0.5, np.nan, 0.5]), "non-finite"),
+        (np.array([0.5, np.inf, -np.inf]), "non-finite"),
+        (np.array([0.5, 0.5]), "expected 3"),
+        (np.zeros((1, 3)), "one-dimensional"),
+    ],
+)
+def test_sample_refuses_bad_probes_with_their_reason(x, reason):
+    env = PricingEnv(default_spec(n=3))
+    with pytest.raises(ValueError, match=reason):
+        env.sample(x, 2, split_rng(44, 0))
+
+
+def test_sample_accepts_finite_probes_whose_sum_overflows():
+    spec = default_spec(n=3)
+    x = np.array([1.7e308, 1.7e308, 0.5])
+    batch = PricingEnv(spec).sample(x, 4, split_rng(45, 0))
+    assert batch.outcomes.sum(axis=1).tolist() == [spec.m_buyers] * 4
