@@ -76,6 +76,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (maps to exit code 2 in the CLI)."""
 
 
+def _os_error(path, exc: OSError) -> ConfigError:
+    """A file that cannot be read or written, as ``<path>: <reason>``."""
+    return ConfigError(f"{path}: {exc.strerror or exc}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything a reproducible experiment needs, in one flat record."""
@@ -467,13 +472,23 @@ def write_trace(path: Path, traces: list[IterTrace]) -> None:
 
 
 def read_trace(path) -> list[dict]:
-    """Load a JSONL trace file back into a list of per-iteration dicts."""
+    """Load a JSONL trace file back into a list of per-iteration dicts.
+
+    Raises ``ValueError``, naming the line, when a line is not a JSON object.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line_no}: not JSON: {exc.msg}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"line {line_no}: not a JSON object")
+            rows.append(row)
     return rows
 
 
@@ -562,7 +577,8 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> ExperimentOutcome:
     ``traces/<method>__seed<seed>.jsonl``, ``runs.jsonl`` (one record per
     run), and ``summary.csv``. ``echo``, when given, receives one progress
     line per run. Raises :class:`ConfigError`, before anything is written,
-    when the environment or a method's run configuration cannot be built.
+    when the environment or a method's run configuration cannot be built,
+    and when the output directory cannot be created.
     """
     seeds = spec.resolved_seeds()
     try:
@@ -574,8 +590,11 @@ def run_experiment(spec: ExperimentSpec, echo=None) -> ExperimentOutcome:
 
     out_dir = Path(spec.output_dir)
     traces_dir = out_dir / "traces"
-    traces_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(serialize_config(spec))
+    try:
+        traces_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "config.txt").write_text(serialize_config(spec))
+    except OSError as exc:
+        raise _os_error(out_dir, exc) from exc
 
     records: list[RunRecord] = []
     trace_paths: dict[tuple[str, int], Path] = {}
@@ -656,7 +675,8 @@ def trace_plotdata(paths) -> list[tuple[str, int, float]]:
     """Collect (series, cumulative_draws, obj) rows from trace files.
 
     The series label is the trace filename stem. Raises
-    :class:`ConfigError` when no file contains probe entries (runs need
+    :class:`ConfigError`, naming the file, when a file cannot be read or is
+    not a trace, and when no file contains probe entries (runs need
     ``run.metric_every > 0`` for that).
     """
     paths = list(paths)
@@ -665,10 +685,24 @@ def trace_plotdata(paths) -> list[tuple[str, int, float]]:
     rows: list[tuple[str, int, float]] = []
     for p in paths:
         label = Path(p).stem
-        for entry in read_trace(p):
+        try:
+            entries = read_trace(p)
+        except OSError as exc:
+            raise _os_error(p, exc) from exc
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise ConfigError(f"{p}: {exc}") from exc
+        for entry in entries:
             probe = entry.get("obj_probe")
-            if probe is not None:
-                rows.append((label, int(entry["cumulative_draws"]), float(probe)))
+            if probe is None:
+                continue
+            draws = entry.get("cumulative_draws")
+            # JSON numbers load as exactly int or float; true/false are bools
+            if type(probe) not in (int, float) or type(draws) is not int:
+                raise ConfigError(
+                    f"{p}: a probe entry needs a number obj_probe and an "
+                    "integer cumulative_draws"
+                )
+            rows.append((label, draws, float(probe)))
     if not rows:
         raise ConfigError(
             "traces contain no obj_probe entries; rerun with run.metric_every > 0"
@@ -677,8 +711,12 @@ def trace_plotdata(paths) -> list[tuple[str, int, float]]:
 
 
 def write_plotdata_csv(path: Path, rows: list[tuple[str, int, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "cumulative_draws", "obj"])
-        for series, draws, obj in rows:
-            writer.writerow([series, draws, repr(obj)])
+    """Write plot rows as CSV; ``ConfigError``, naming ``path``, if it cannot."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["series", "cumulative_draws", "obj"])
+            for series, draws, obj in rows:
+                writer.writerow([series, draws, repr(obj)])
+    except OSError as exc:
+        raise _os_error(path, exc) from exc

@@ -130,3 +130,28 @@ def power_iteration_top_sv(mat, iters=2000, seed=0):
             return 0.0
         v = w / nrm
     return float(np.linalg.norm(mat @ v))
+
+
+def tally_by_buyer(p, draws):
+    """Option counts from inverse-CDF choice, one buyer at a time.
+
+    ``p`` holds the ``n + 1`` option probabilities and ``draws`` the buyers'
+    uniforms, one row per realization. A buyer with uniform ``u`` takes
+    option ``#{j < n : cdf[j] <= u}``, where ``cdf`` is the running sum of
+    ``p`` with its last entry set to 1.0, so a tie goes to the higher option.
+    Returns int64 counts of shape ``draws.shape[:-1] + (n + 1,)``.
+    """
+    p = [float(v) for v in np.asarray(p, dtype=np.float64)]
+    n = len(p) - 1
+    cdf, total = [], 0.0
+    for v in p:
+        total += v
+        cdf.append(total)
+    cdf[-1] = 1.0
+    draws = np.asarray(draws, dtype=np.float64)
+    rows = draws.reshape(-1, draws.shape[-1])
+    counts = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
+    for r, row in enumerate(rows):
+        for u in row.tolist():
+            counts[r, sum(1 for j in range(n) if cdf[j] <= u)] += 1
+    return counts.reshape(draws.shape[:-1] + (n + 1,))

@@ -488,6 +488,66 @@ def test_initial_offset_larger_than_the_budget_is_refused(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_run_out_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = cli_main(["run", "--out", str(out), "--budget", "100", "--methods", "alg1-mini"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {out}: Not a directory\n"
+    assert blocker.read_text() == "" and sorted(tmp_path.iterdir()) == [blocker]
+
+
+_PROBE_LINE = '{"cumulative_draws": 30, "obj_probe": -1.5}\n'
+
+
+_BAD_TRACES = [
+    ("missing.jsonl", None, "No such file or directory"),
+    ("dir.jsonl", "directory", "Is a directory"),
+    ("latin1.jsonl", b'{"obj_probe": 1.0}\n\xff\n', "can't decode byte 0xff"),
+    ("cut.jsonl", _PROBE_LINE + '{"cumulative_draws": 31, "obj_pro\n', "line 2: not JSON"),
+    ("list.jsonl", _PROBE_LINE + "\n[1, 2]\n", "line 3: not a JSON object"),
+    ("text.jsonl", '{"cumulative_draws": 30, "obj_probe": "x"}\n', "a probe entry needs"),
+    ("bool.jsonl", '{"cumulative_draws": true, "obj_probe": 1.0}\n', "a probe entry needs"),
+    ("nodraws.jsonl", '{"obj_probe": 1.0}\n', "a probe entry needs"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, content, reason", _BAD_TRACES, ids=[case[0] for case in _BAD_TRACES]
+)
+def test_cli_plotdata_bad_trace_exits_2_naming_it(tmp_path, capsys, name, content, reason):
+    good = tmp_path / "good.jsonl"
+    good.write_text(_PROBE_LINE)
+    bad = tmp_path / name
+    if content == "directory":
+        bad.mkdir()
+    elif isinstance(content, bytes):
+        bad.write_bytes(content)
+    elif content is not None:
+        bad.write_text(content)
+    out = tmp_path / "plot.csv"
+    assert cli_main(["plotdata", str(good), str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and reason in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["file/plot.csv", "dir"])
+def test_cli_plotdata_unwritable_out_exits_2_naming_it(tmp_path, capsys, target):
+    trace = tmp_path / "good.jsonl"
+    trace.write_text(_PROBE_LINE)
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    assert cli_main(["plotdata", str(trace), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_cli_verify_exit_codes(capsys):
     assert cli_main(["verify", "weights"]) == 0
     out = capsys.readouterr().out

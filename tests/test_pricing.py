@@ -1,5 +1,7 @@
 """Pricing simulation: choice model, demand sampling, costs, metric."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,9 @@ from zodd import (
     split_rng,
     synth_theta,
 )
+from refs import tally_by_buyer
 from zodd.env import SampleLedger
+from zodd.pricing import _tally_choices
 
 
 def default_spec(n=10, m_buyers=40, seed=31):
@@ -315,3 +319,71 @@ def test_sample_accepts_finite_probes_whose_sum_overflows():
     x = np.array([1.7e308, 1.7e308, 0.5])
     batch = PricingEnv(spec).sample(x, 4, split_rng(45, 0))
     assert batch.outcomes.sum(axis=1).tolist() == [spec.m_buyers] * 4
+
+
+def _degenerate_prices(spec):
+    # prices whose choice probabilities stress the inverse-CDF search
+    theta = spec.theta
+    priced_out = theta.copy()
+    priced_out[::3] += 1000.0  # p_i == 0 exactly: repeated cdf entries
+    one_product = theta + 1000.0
+    one_product[4] -= 2000.0  # product 4 holds all the mass
+    cases = {
+        "priced out": priced_out,
+        "one product": one_product,
+        "no purchase": theta + 1000.0,
+    }
+    rng = split_rng(46, 0)
+    for _ in range(200):
+        x = rng.uniform(-1.0, 3.0, spec.n)
+        x[-3:] = theta[-3:] + 1000.0
+        if np.cumsum(choice_probs(spec, x))[:-1].max() > 1.0:
+            cases["cumsum passes 1"] = x
+            break
+    return cases
+
+
+def test_degenerate_prices_give_degenerate_probabilities():
+    spec = default_spec()
+    cases = _degenerate_prices(spec)
+    p = {name: choice_probs(spec, x) for name, x in cases.items()}
+    assert (p["priced out"] == 0.0).sum() == 4
+    assert p["one product"][5] == 1.0 and p["no purchase"][0] == 1.0
+    assert np.cumsum(p["cumsum passes 1"])[:-1].max() > 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 30, 142, 1000])
+def test_demand_tally_matches_per_buyer_counting(m):
+    spec = default_spec()
+    env = PricingEnv(spec)
+    cases = {"interior": split_rng(47, 0).uniform(0.0, 2.0, spec.n), **_degenerate_prices(spec)}
+    for name, x in cases.items():
+        x_before = x.copy()
+        p = choice_probs(spec, x)
+        rng = split_rng(48, m)
+        clone = copy.deepcopy(rng)
+        outcomes = env.sample(x, m, rng).outcomes
+        assert outcomes.dtype == np.int64 and outcomes.flags.c_contiguous
+        expect = tally_by_buyer(p, clone.random((m, spec.m_buyers)))
+        assert np.array_equal(outcomes, expect), name
+        # sample_demand draws the same uniforms one row at a time
+        rng = split_rng(48, m)
+        clone = copy.deepcopy(rng)
+        for _ in range(m):
+            xi = sample_demand(spec, x, rng)
+            assert xi.dtype == np.int64 and xi.flags.c_contiguous
+            assert np.array_equal(xi, tally_by_buyer(p, clone.random(spec.m_buyers))), name
+        assert np.array_equal(x, x_before), name
+
+
+def test_tally_ties_go_to_the_higher_option():
+    p = np.array([0.25, 0.25, 0.0, 0.5])  # cdf 0.25, 0.5, 0.5, 1.0
+    draws = np.array([[0.0, 0.25, 0.5, 0.75, 0.25, 0.5], [0.5, 0.5, 0.5, 0.25, 0.0, 0.999]])
+    # a draw equal to a cdf entry passes it, so 0.5 skips the empty option 2
+    expect = [[1, 2, 0, 3], [1, 1, 0, 4]]
+    assert tally_by_buyer(p, draws).tolist() == expect
+    got = _tally_choices(p, 3, 6, draws.copy())
+    assert got.tolist() == expect
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert _tally_choices(p, 3, 6, draws[0].copy()).tolist() == expect[0]
+    assert _tally_choices(p, 3, 6, draws[::-1, ::-1].copy()).tolist() == expect[::-1]
