@@ -21,6 +21,8 @@ BENCHMARK = {
 
 
 def _line(correct=True, **metrics):
+    # zbench's last line: each metric as {"value": ..., "unit": ...}
+    metrics = {name: {"value": value, "unit": "u"} for name, value in metrics.items()}
     return json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics})
 
 
@@ -30,7 +32,7 @@ def _stdout(**metrics):
 
 def test_check_run_returns_the_last_line():
     result = bench_record.check_run("w", 0, _stdout(draws_per_s=5.0, wall_s=2.0), "")
-    assert result["metrics"] == {"draws_per_s": 5.0, "wall_s": 2.0}
+    assert result["metrics"]["draws_per_s"] == {"value": 5.0, "unit": "u"}
 
 
 @pytest.mark.parametrize(
@@ -61,8 +63,7 @@ def test_assemble_summarises_untraced_runs_and_keeps_the_traced_layers():
     mini = [check("m", 0, _stdout(draws_per_s=d, wall_s=w), "")
             for d, w in ((300.0, 12.0), (320.0, 11.0), (310.0, 11.5))]
     mc = [check("e", 0, _stdout(draws_per_s=60.0, wall_s=9.0), "")]
-    layers = {"pricing.sample.calls": 12675, "pricing.sample.us": 100.5}
-    traced = check("t", 0, _stdout(**layers), "")
+    traced = check("t", 0, _stdout(**{"pricing.sample.calls": 12675}), "")
     machine = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6", "scipy": "1.16.0"}
     settings = {"seed": 5, "seconds": 20, "runs": 3}
     record = bench_record.assemble(
@@ -80,7 +81,7 @@ def test_assemble_summarises_untraced_runs_and_keeps_the_traced_layers():
         "median": 310.0, "q1": 305.0, "q3": 315.0, "runs": [300.0, 320.0, 310.0],
     }
     assert mini_out["end_to_end"]["wall_s"]["median"] == 11.5
-    assert mini_out["per_layer"] == layers
+    assert mini_out["per_layer"] == {"pricing.sample.calls": {"value": 12675, "unit": "u"}}
     assert record["workloads"]["estimator-mc"]["end_to_end"]["wall_s"]["q3"] == 9.0
 
 
@@ -88,4 +89,4 @@ def test_tags_that_are_not_file_names_are_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         bench_record.parse_args(["--tag", "../x"])
     assert exc.value.code == 2
-    assert bench_record.parse_args(["--tag", "pr7-parent"]).runs == 10
+    assert bench_record.parse_args(["--tag", "base-1.0_x"]).runs == 10

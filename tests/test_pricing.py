@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refs import tally_by_buyer
 from zodd import (
     PricingEnv,
     choice_probs,
@@ -20,7 +21,6 @@ from zodd import (
     split_rng,
     synth_theta,
 )
-from refs import tally_by_buyer
 from zodd.env import SampleLedger
 from zodd.pricing import _tally_choices
 

@@ -31,6 +31,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
+import scipy
+
 HERE = Path(__file__).resolve().parent.parent
 
 
@@ -79,7 +82,8 @@ def assemble(tag: str, commit: str | None, machine: dict, settings: dict,
     """The ``BENCH_<tag>.json`` object.
 
     ``results`` maps each workload to ``{"untraced": [result, ...], "traced":
-    result}``, each result being a run's parsed last line.
+    result}``, each result being a run's parsed last line, whose metrics map
+    each name to ``{"value": ..., "unit": ...}``.
     """
     workloads = {}
     for name, runs in results.items():
@@ -87,7 +91,7 @@ def assemble(tag: str, commit: str | None, machine: dict, settings: dict,
             metric["name"]: {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                **spread([run["metrics"][metric["name"]] for run in runs["untraced"]]),
+                **spread([run["metrics"][metric["name"]]["value"] for run in runs["untraced"]]),
             }
             for metric in benchmark["end_to_end"]
         }
@@ -96,9 +100,6 @@ def assemble(tag: str, commit: str | None, machine: dict, settings: dict,
 
 
 def machine_info() -> dict:
-    import numpy
-    import scipy
-
     return {
         "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
