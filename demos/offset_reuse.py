@@ -18,7 +18,7 @@ from zodd import (
     RunConfig,
     compute_weights,
     register_env,
-    run_alg1,
+    run,
     split_rng,
 )
 
@@ -74,7 +74,7 @@ def tracking_comparison():
                 method="alg1",
                 uniform_weights=uniform,
             )
-            result = run_alg1(register_env(oracle), cfg)
+            result = run(register_env(oracle), cfg)
             gaps = np.array(
                 [(oracle.value(t.x) - t.c) ** 2 for t in result.traces]
             )

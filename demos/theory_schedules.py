@@ -19,7 +19,7 @@ from zodd import (
     TheoryConstants,
     offset_tracking_ceiling,
     register_env,
-    run_alg1,
+    run,
     theory_params,
 )
 
@@ -66,7 +66,7 @@ def main():
         seed=7,
         method="alg1",
     )
-    result = run_alg1(register_env(oracle), cfg)
+    result = run(register_env(oracle), cfg)
     delta0_sq = (oracle.value(result.traces[0].x) - result.traces[0].c) ** 2
     print(f"\ntracking check over {result.iterations} iterations "
           f"(initial gap^2 = {delta0_sq:.4f}):")

@@ -22,7 +22,6 @@ from .estimators import (
     SmoothingState,
     moment_samples,
     one_point_estimate,
-    second_moment,
     two_point_estimate,
 )
 from .harness import (
@@ -59,9 +58,6 @@ from .optimize import (
     TheoryConstants,
     TheoryParams,
     run,
-    run_alg1,
-    run_alg2,
-    run_czo1,
     theory_params,
 )
 from .oracles import (
@@ -70,7 +66,6 @@ from .oracles import (
     estimator_moment_bound,
     mc_smoothed_value,
     offset_tracking_ceiling,
-    oracle_true_gradient,
 )
 from .pricing import (
     PricingEnv,
@@ -145,20 +140,15 @@ __all__ = [
     "moment_samples",
     "offset_tracking_ceiling",
     "one_point_estimate",
-    "oracle_true_gradient",
     "parse_config",
     "piecewise_cost",
     "pricing_f",
     "read_trace",
     "register_env",
     "run",
-    "run_alg1",
-    "run_alg2",
-    "run_czo1",
     "run_experiment",
     "run_suite",
     "sample_demand",
-    "second_moment",
     "serialize_config",
     "split_rng",
     "summarize",

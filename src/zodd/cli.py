@@ -53,10 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.config is not None:
         try:
-            text = args.config.read_text()
+            text = args.config.read_text(encoding="utf-8")
         except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{args.config}: {exc.strerror or exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from exc
         spec = parse_config(text)
     else:
         spec = ExperimentSpec()

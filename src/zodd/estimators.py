@@ -26,7 +26,6 @@ __all__ = [
     "EstimatorSample",
     "one_point_estimate",
     "two_point_estimate",
-    "second_moment",
     "moment_samples",
     "MU_FLOOR",
 ]
@@ -152,7 +151,6 @@ def moment_samples(
     n_trials: int,
     rng: np.random.Generator,
     kind: str = "one-point",
-    env_rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Per-trial squared norms ||g||^2 over independent estimates."""
     if n_trials < 1:
@@ -165,22 +163,7 @@ def moment_samples(
         raise ValueError(f"unknown estimator kind: {kind!r}")
     out = np.empty(n_trials, dtype=np.float64)
     for t in range(n_trials):
-        g = estimate(env, x, state, m, rng, env_rng=env_rng).g
+        g = estimate(env, x, state, m, rng).g
         out[t] = g @ g
     return out
 
-
-def second_moment(
-    env: EnvHandle,
-    x: np.ndarray,
-    state: SmoothingState,
-    m: int,
-    n_trials: int,
-    rng: np.random.Generator,
-    kind: str = "one-point",
-    env_rng: np.random.Generator | None = None,
-) -> float:
-    """Empirical mean of ||g||^2 over ``n_trials`` independent estimates."""
-    return float(
-        np.mean(moment_samples(env, x, state, m, n_trials, rng, kind, env_rng))
-    )

@@ -138,6 +138,8 @@ class ExperimentSpec:
             raise ConfigError("duplicate method names")
         if self.seeds is not None and len(self.seeds) < 1:
             raise ConfigError("run.seeds must be nonempty when given")
+        if self.seeds is not None and len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("duplicate seeds in run.seeds")
         if self.n_instances < 1:
             raise ConfigError("run.n_instances must be >= 1")
         if self.budget < 1:
@@ -294,31 +296,17 @@ def build_run_config(spec: ExperimentSpec, method_token: str, seed: int, d: int)
         raise ConfigError(f"unknown method {method_token!r}")
     kind, variant = _split_method(method_token)
     batch = AffineBatch(spec.m0, spec.m_slope) if variant == "mini" else ConstantBatch(1)
-    x0 = np.full(d, spec.x0_fill)
-    if kind == "czo1":
-        return RunConfig(
-            x0=x0,
-            mu0=spec.czo_mu,
-            mu_min=spec.czo_mu,
-            gamma=spec.gamma,
-            s_max=spec.s_max,
-            m_scale=spec.m_scale,
-            beta_schedule=ConstantBeta(spec.czo_beta),
-            batch_schedule=batch,
-            c0_samples=0,
-            sample_budget=spec.budget,
-            max_iters=spec.max_iters,
-            seed=seed,
-            method="czo1",
-        )
+    czo = kind == "czo1"
     return RunConfig(
-        x0=x0,
-        mu0=spec.mu0,
-        mu_min=spec.mu_min,
+        x0=np.full(d, spec.x0_fill),
+        mu0=spec.czo_mu if czo else spec.mu0,
+        mu_min=spec.czo_mu if czo else spec.mu_min,
         gamma=spec.gamma,
         s_max=spec.s_max,
         m_scale=spec.m_scale,
-        beta_schedule=GeometricBeta(spec.beta0, spec.beta_decay),
+        beta_schedule=(
+            ConstantBeta(spec.czo_beta) if czo else GeometricBeta(spec.beta0, spec.beta_decay)
+        ),
         batch_schedule=batch,
         c0_samples=spec.c0_samples if kind == "alg1" else 0,
         sample_budget=spec.budget,

@@ -1,13 +1,14 @@
-"""Optimization loops for decision-dependent zeroth-order problems.
+"""The optimizer loop for decision-dependent zeroth-order problems.
 
-Three methods share one loop skeleton:
+One loop, :func:`run`, serves three methods; ``cfg.method`` picks the
+estimator and whether the offset is tracked:
 
 * ``alg1``: one-point estimator with the tracked variance-reduction offset,
   a geometric smoothing-radius decay floored at ``mu_min``, and the history
   window feeding each offset update.
 * ``alg2``: two-point estimator; same radius schedule, no offset machinery.
 * ``czo1``: conventional baseline; one-point estimator with the offset
-  frozen at zero and the radius frozen at its initial value.
+  held at zero and the radius held at its initial value.
 
 Runs stop at sample-budget exhaustion or the iteration cap, whichever comes
 first. A batch that would overshoot the remaining budget is not started.
@@ -17,7 +18,7 @@ Non-finite estimates or iterates abort the run with the trace retained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +43,6 @@ __all__ = [
     "TheoryParams",
     "IterTrace",
     "RunResult",
-    "run_alg1",
-    "run_alg2",
-    "run_czo1",
     "run",
     "theory_params",
     "METHODS",
@@ -136,8 +134,6 @@ class RunConfig:
     seed : root seed from which all run streams are derived.
     method : one of ``alg1 | alg2 | czo1``.
     uniform_weights : ablation switch forcing equal reuse weights.
-    c_freeze : when set, the offset is held at this value and the history
-        machinery is skipped entirely (how the czo1 baseline runs).
     """
 
     x0: np.ndarray
@@ -154,7 +150,6 @@ class RunConfig:
     seed: int
     method: str
     uniform_weights: bool = False
-    c_freeze: float | None = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -180,8 +175,6 @@ class RunConfig:
             raise ValueError("max_iters must be >= 1")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.c_freeze is not None and not np.isfinite(self.c_freeze):
-            raise ValueError("c_freeze must be finite when set")
 
 
 @dataclass(frozen=True)
@@ -271,29 +264,45 @@ class RunResult:
     iterations: int
 
 
-# --- loops -------------------------------------------------------------------
+# --- loop --------------------------------------------------------------------
 
 
-def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
+def run(
+    env: EnvHandle,
+    cfg: RunConfig,
+    probe_fn=None,
+    probe_every: int = 0,
+) -> RunResult:
+    """Run the method named by ``cfg.method`` on ``env``.
+
+    Every iteration estimates the gradient at ``x``, steps to
+    ``x - beta_k g`` and shrinks the radius. ``alg2`` uses the two-point
+    estimator (two draws per batch element, ``c`` recorded as None); the
+    one-point methods subtract ``c``, which ``alg1`` rebuilds from the
+    history window after each step and ``czo1`` holds at 0.0 with the radius
+    held at ``mu0``. All randomness comes from ``cfg.seed`` on separate
+    streams. ``probe_fn``, when given with ``probe_every > 0``, is called
+    with the post-step iterate every ``probe_every`` iterations and its
+    value recorded as ``obj_probe``.
+    """
     d = env.dim()
     x = as_decision_vector(cfg.x0, d).copy()
-    if rng is None:
-        rng_u = split_rng(cfg.seed, STREAM_PERTURBATION)
-        rng_env = split_rng(cfg.seed, STREAM_ENV)
-        rng_c0 = split_rng(cfg.seed, STREAM_INIT_OFFSET)
-        rng_sel = split_rng(cfg.seed, STREAM_SELECT)
-    else:
-        rng_u = rng_env = rng_c0 = rng_sel = rng
+    rng_u = split_rng(cfg.seed, STREAM_PERTURBATION)
+    rng_env = split_rng(cfg.seed, STREAM_ENV)
+    rng_sel = split_rng(cfg.seed, STREAM_SELECT)
+
+    two_point = cfg.method == "alg2"
+    tracking = cfg.method == "alg1"
+    estimate = two_point_estimate if two_point else one_point_estimate
+    draws_per_element = 2 if two_point else 1
+    gamma = 1.0 if cfg.method == "czo1" else cfg.gamma
 
     start = env.total_draws
-    frozen = cfg.c_freeze is not None
-    history: HistoryWindow | None = None
-    if frozen:
-        c = float(cfg.c_freeze)
-    else:
+    c = 0.0
+    if tracking:
         history = HistoryWindow(cfg.s_max)
-        c = 0.0
         if cfg.c0_samples > 0:
+            rng_c0 = split_rng(cfg.seed, STREAM_INIT_OFFSET)
             c = estimate_initial_c(env, x, cfg.c0_samples, rng_c0)
 
     traces: list[IterTrace] = []
@@ -304,48 +313,41 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
     while k < cfg.max_iters:
         m_k = int(cfg.batch_schedule.value(k))
         used = env.total_draws - start
-        if used + m_k > cfg.sample_budget:
+        if used + draws_per_element * m_k > cfg.sample_budget:
             break
         beta_k = float(cfg.beta_schedule.value(k))
         state = SmoothingState(mu=mu, c=c)
-        est = one_point_estimate(env, x, state, m_k, rng_u, env_rng=rng_env)
+        est = estimate(env, x, state, m_k, rng_u, env_rng=rng_env)
         cum = env.total_draws - start
         with np.errstate(over="ignore"):
             gn2 = float(est.g @ est.g)
 
-        if not np.isfinite(est.g).all():
-            diverged = True
-            traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
-            break
-        x_next = x - beta_k * est.g
-        # norm check also catches iterates whose squared distance overflows,
-        # which would poison the weight scores below
-        with np.errstate(over="ignore"):
-            xn2 = float(x_next @ x_next) if np.isfinite(x_next).all() else np.inf
-        if not np.isfinite(xn2):
-            diverged = True
-            traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
-            break
-
-        if not frozen:
+        ok = np.isfinite(est.g).all()
+        if ok:
+            x_next = x - beta_k * est.g
+            # norm check also catches iterates whose squared distance
+            # overflows, which would poison the weight scores below
+            with np.errstate(over="ignore"):
+                ok = np.isfinite(x_next).all() and math.isfinite(x_next @ x_next)
+        c_next = c
+        if ok and tracking:
             history.push(est.batches[0])
             w = compute_weights(history, x_next, cfg.m_scale, cfg.uniform_weights)
             c_next = compute_c(history, w, x_next, env)
-            if not math.isfinite(c_next):
-                diverged = True
-                traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k))
-                break
-        else:
-            c_next = c
+            ok = math.isfinite(c_next)
 
         obj = None
-        if probe_fn is not None and probe_every > 0 and k % probe_every == 0:
+        if ok and probe_fn is not None and probe_every > 0 and k % probe_every == 0:
             obj = float(probe_fn(x_next))
-        traces.append(IterTrace(k, x.copy(), mu, c, gn2, cum, beta_k, obj))
+        c_k = None if two_point else c
+        traces.append(IterTrace(k, x.copy(), mu, c_k, gn2, cum, beta_k, obj))
+        if not ok:
+            diverged = True
+            break
 
         x = x_next
         c = c_next
-        mu = max(cfg.gamma * mu, cfg.mu_min)
+        mu = max(gamma * mu, cfg.mu_min)
         iterates.append(x.copy())
         k += 1
 
@@ -358,130 +360,6 @@ def _one_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
         draws_used=env.total_draws - start,
         iterations=k,
     )
-
-
-def _two_point_loop(env, cfg, rng, probe_fn, probe_every) -> RunResult:
-    d = env.dim()
-    x = as_decision_vector(cfg.x0, d).copy()
-    if rng is None:
-        rng_u = split_rng(cfg.seed, STREAM_PERTURBATION)
-        rng_env = split_rng(cfg.seed, STREAM_ENV)
-        rng_sel = split_rng(cfg.seed, STREAM_SELECT)
-    else:
-        rng_u = rng_env = rng_sel = rng
-
-    start = env.total_draws
-    traces: list[IterTrace] = []
-    iterates = [x.copy()]
-    diverged = False
-    mu = cfg.mu0
-    k = 0
-    while k < cfg.max_iters:
-        m_k = int(cfg.batch_schedule.value(k))
-        used = env.total_draws - start
-        if used + 2 * m_k > cfg.sample_budget:
-            break
-        beta_k = float(cfg.beta_schedule.value(k))
-        state = SmoothingState(mu=mu, c=0.0)
-        est = two_point_estimate(env, x, state, m_k, rng_u, env_rng=rng_env)
-        cum = env.total_draws - start
-        with np.errstate(over="ignore"):
-            gn2 = float(est.g @ est.g)
-
-        if not np.isfinite(est.g).all():
-            diverged = True
-            traces.append(IterTrace(k, x.copy(), mu, None, gn2, cum, beta_k))
-            break
-        x_next = x - beta_k * est.g
-        with np.errstate(over="ignore"):
-            xn2 = float(x_next @ x_next) if np.isfinite(x_next).all() else np.inf
-        if not np.isfinite(xn2):
-            diverged = True
-            traces.append(IterTrace(k, x.copy(), mu, None, gn2, cum, beta_k))
-            break
-
-        obj = None
-        if probe_fn is not None and probe_every > 0 and k % probe_every == 0:
-            obj = float(probe_fn(x_next))
-        traces.append(IterTrace(k, x.copy(), mu, None, gn2, cum, beta_k, obj))
-
-        x = x_next
-        mu = max(cfg.gamma * mu, cfg.mu_min)
-        iterates.append(x.copy())
-        k += 1
-
-    x_uniform = iterates[int(rng_sel.integers(len(iterates)))].copy()
-    return RunResult(
-        traces=traces,
-        x_final=x.copy(),
-        x_uniform=x_uniform,
-        diverged=diverged,
-        draws_used=env.total_draws - start,
-        iterations=k,
-    )
-
-
-def run_alg1(
-    env: EnvHandle,
-    cfg: RunConfig,
-    rng: np.random.Generator | None = None,
-    probe_fn=None,
-    probe_every: int = 0,
-) -> RunResult:
-    """Variance-reduced one-point method.
-
-    When ``rng`` is None (the normal path) all randomness is derived from
-    ``cfg.seed`` on separate streams; a supplied generator is used for every
-    draw instead, in call order. ``probe_fn``, when given with
-    ``probe_every > 0``, is called with the post-step iterate every
-    ``probe_every`` iterations and its value recorded as ``obj_probe``.
-    """
-    if cfg.method != "alg1":
-        raise ValueError("cfg.method must be 'alg1'")
-    return _one_point_loop(env, cfg, rng, probe_fn, probe_every)
-
-
-def run_alg2(
-    env: EnvHandle,
-    cfg: RunConfig,
-    rng: np.random.Generator | None = None,
-    probe_fn=None,
-    probe_every: int = 0,
-) -> RunResult:
-    """Two-point method; two draws per batch element, no offset machinery."""
-    if cfg.method != "alg2":
-        raise ValueError("cfg.method must be 'alg2'")
-    return _two_point_loop(env, cfg, rng, probe_fn, probe_every)
-
-
-def run_czo1(
-    env: EnvHandle,
-    cfg: RunConfig,
-    rng: np.random.Generator | None = None,
-    probe_fn=None,
-    probe_every: int = 0,
-) -> RunResult:
-    """Conventional one-point baseline: offset 0, radius frozen at ``mu0``."""
-    if cfg.method != "czo1":
-        raise ValueError("cfg.method must be 'czo1'")
-    frozen = replace(
-        cfg, method="alg1", gamma=1.0, c_freeze=0.0, c0_samples=0
-    )
-    return _one_point_loop(env, frozen, rng, probe_fn, probe_every)
-
-
-_RUNNERS = {"alg1": run_alg1, "alg2": run_alg2, "czo1": run_czo1}
-
-
-def run(
-    env: EnvHandle,
-    cfg: RunConfig,
-    rng: np.random.Generator | None = None,
-    probe_fn=None,
-    probe_every: int = 0,
-) -> RunResult:
-    """Dispatch to the loop named by ``cfg.method``."""
-    return _RUNNERS[cfg.method](env, cfg, rng, probe_fn, probe_every)
 
 
 # --- theory-mode parameters --------------------------------------------------

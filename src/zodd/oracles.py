@@ -15,7 +15,6 @@ from .env import Environment, SampleBatch
 __all__ = [
     "QuadraticShiftOracle",
     "DeterministicEnv",
-    "oracle_true_gradient",
     "mc_smoothed_value",
     "estimator_moment_bound",
     "offset_tracking_ceiling",
@@ -146,11 +145,6 @@ class DeterministicEnv(Environment):
 
     def eval_f_batch(self, x, outcomes) -> np.ndarray:
         return np.full(len(outcomes), self.eval_f(x, None), dtype=np.float64)
-
-
-def oracle_true_gradient(oracle: QuadraticShiftOracle, x) -> np.ndarray:
-    """Closed-form gradient of the oracle objective at x."""
-    return oracle.gradient(x)
 
 
 def mc_smoothed_value(env, x, mu: float, n: int, rng, inner_m: int = 1) -> float:

@@ -26,9 +26,7 @@ from .optimize import (
     GeometricBeta,
     RunConfig,
     TheoryConstants,
-    run_alg1,
-    run_alg2,
-    run_czo1,
+    run,
     theory_params,
 )
 from .oracles import QuadraticShiftOracle, estimator_moment_bound
@@ -38,7 +36,6 @@ from .pricing import (
     eval_obj_metric,
     make_pricing_spec,
     piecewise_cost,
-    sample_demand,
     synth_theta,
 )
 from .rng import split_rng
@@ -227,7 +224,7 @@ def verify_weights(seed: int = 2024) -> list[CheckResult]:
 
 
 def verify_schedules(seed: int = 2024) -> list[CheckResult]:
-    """Radius law, budget accounting, baseline equivalence, determinism."""
+    """Radius law, budget accounting, frozen baseline, determinism."""
     results = []
     d = 3
     oracle = QuadraticShiftOracle(0.1 * np.eye(d), np.ones(d), 0.5)
@@ -247,7 +244,7 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
         seed=seed,
         method="alg1",
     )
-    res = run_alg1(register_env(oracle), cfg)
+    res = run(register_env(oracle), cfg)
     mus = np.array([t.mu for t in res.traces])
     law_ok = np.isclose(mus[1], 0.19 * 0.95) and np.all(np.diff(mus) <= 0) and np.all(mus >= 1e-4)
     k_pin = int(np.ceil(np.log(1e-4 / 0.19) / np.log(0.95)))
@@ -260,7 +257,7 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
 
     cfg_b = replace(cfg, sample_budget=5000, c0_samples=0, max_iters=10**6)
     env_b = register_env(oracle)
-    res_b = run_alg1(env_b, cfg_b)
+    res_b = run(env_b, cfg_b)
     expected = sum(30 + 2 * k for k in range(res_b.iterations))
     next_batch = 30 + 2 * res_b.iterations
     budget_ok = (
@@ -281,29 +278,23 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
         beta_schedule=ConstantBeta(1e-5),
         sample_budget=3000,
     )
-    res_czo = run_czo1(register_env(oracle), cfg_czo)
-    cfg_eq = replace(cfg_czo, method="alg1", gamma=1.0, c_freeze=0.0, c0_samples=0)
-    res_eq = run_alg1(register_env(oracle), cfg_eq)
-    same = len(res_czo.traces) == len(res_eq.traces) and all(
-        np.array_equal(a.x, b.x) and a.mu == b.mu and a.c == b.c and a.grad_norm_sq == b.grad_norm_sq
-        for a, b in zip(res_czo.traces, res_eq.traces)
-    )
-    frozen_ok = all(t.mu == 1e-3 and t.c == 0.0 for t in res_czo.traces)
+    res_czo = run(register_env(oracle), cfg_czo)
+    frozen_ok = bool(res_czo.traces) and all(t.mu == 1e-3 and t.c == 0.0 for t in res_czo.traces)
     results.append(
-        _check("czo1 = frozen one-point loop", same and frozen_ok,
-               f"{len(res_czo.traces)} iterations bit-identical", "identical traces, mu/c frozen")
+        _check("czo1 holds mu and c", frozen_ok,
+               f"{len(res_czo.traces)} iterations", "mu = 1e-3, c = 0.0 throughout")
     )
 
     cfg2 = replace(cfg, method="alg2")
     env2 = register_env(oracle)
-    res2 = run_alg2(env2, cfg2)
+    res2 = run(env2, cfg2)
     expected2 = 2 * sum(30 + 2 * k for k in range(res2.iterations))
     results.append(
         _check("two-point draw accounting", env2.total_draws == expected2,
                f"draws {env2.total_draws}", "2 * sum m_k")
     )
 
-    rerun = run_alg1(register_env(oracle), cfg)
+    rerun = run(register_env(oracle), cfg)
     ident = len(rerun.traces) == len(res.traces) and all(
         np.array_equal(a.x, b.x) and a.c == b.c and a.grad_norm_sq == b.grad_norm_sq
         for a, b in zip(rerun.traces, res.traces)

@@ -29,8 +29,7 @@ from zodd import (
     offset_tracking_ceiling,
     one_point_estimate,
     register_env,
-    run_alg1,
-    run_alg2,
+    run,
     run_experiment,
     split_rng,
     synth_theta,
@@ -204,7 +203,7 @@ def test_offset_tracks_objective_under_ceiling():
             c0_samples=30, sample_budget=30 + 80 * m, max_iters=80,
             seed=seed, method="alg1",
         )
-        res = run_alg1(env, cfg)
+        res = run(env, cfg)
         assert not res.diverged
         iterate_norms = [float(np.linalg.norm(t.x)) for t in res.traces]
         lip_x = 2.0 * max(recorder.max_probe_norm, max(iterate_norms))
@@ -243,7 +242,7 @@ def test_both_methods_shrink_true_gradient_tenfold():
                 batch_schedule=ConstantBatch(30), c0_samples=20,
                 sample_budget=budget, max_iters=10**6, seed=seed, method=method,
             )
-            res = run_alg1(env, cfg) if method == "alg1" else run_alg2(env, cfg)
+            res = run(env, cfg)
             assert not res.diverged
             assert env.total_draws <= budget
             grads = [float(np.sum(oracle.gradient(t.x) ** 2)) for t in res.traces]

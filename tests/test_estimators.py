@@ -13,7 +13,6 @@ from zodd import (
     moment_samples,
     one_point_estimate,
     register_env,
-    second_moment,
     split_rng,
     synth_theta,
     two_point_estimate,
@@ -139,9 +138,6 @@ def test_moment_samples_match_direct_calls():
 
     direct = [dot_sq() for _ in range(50)]
     assert np.array_equal(sq, direct)
-    assert second_moment(
-        register_env(oracle), np.ones(d), state, 2, 50, split_rng(14, 0)
-    ) == pytest.approx(np.mean(direct), rel=1e-14)
 
 
 def test_two_point_needs_no_offset_and_double_draws():

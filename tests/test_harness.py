@@ -113,6 +113,20 @@ def test_spec_validation_errors():
         ExperimentSpec(n_instances=0)
 
 
+def test_duplicate_seeds_are_refused(tmp_path, capsys):
+    # a repeated seed would run twice and overwrite its own trace file
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        ExperimentSpec(seeds=(1, 1))
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        parse_config("run.seeds=4,7,4\n")
+    cfg_path = tmp_path / "dup.cfg"
+    cfg_path.write_text("env.kind=analytic\nrun.seeds=1,1\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "duplicate seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resolved_seeds():
     assert ExperimentSpec(n_instances=3, base_seed=7).resolved_seeds() == (7, 8, 9)
     assert ExperimentSpec(seeds=(4, 99)).resolved_seeds() == (4, 99)
@@ -472,6 +486,25 @@ def test_cli_run_bad_values_exit_2_before_writing(tmp_path, capsys, line):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [("latin1.cfg", "can't decode byte 0xff"), ("missing.cfg", "No such file or directory"),
+     ("dir.cfg", "Is a directory")],
+)
+def test_cli_run_unusable_config_exits_2_naming_it(tmp_path, capsys, name, reason):
+    cfg_path = tmp_path / name
+    if name == "latin1.cfg":
+        cfg_path.write_bytes(b"\xff\xfe")
+    elif name == "dir.cfg":
+        cfg_path.mkdir()
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: ") and reason in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

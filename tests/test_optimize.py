@@ -1,4 +1,4 @@
-"""Optimizer loops: schedules, accounting, baselines, determinism."""
+"""Optimizer loop: schedules, accounting, step laws, baselines, determinism."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,10 @@ from zodd import (
     GeometricBeta,
     QuadraticShiftOracle,
     RunConfig,
+    STREAM_PERTURBATION,
     TheoryConstants,
     register_env,
     run,
-    run_alg1,
-    run_alg2,
-    run_czo1,
     split_rng,
     theory_params,
 )
@@ -101,7 +99,7 @@ def test_run_config_validation():
 
 
 def test_radius_follows_floored_recursion_exactly():
-    res = run_alg1(register_env(oracle()), base_cfg())
+    res = run(register_env(oracle()), base_cfg())
     mu = 0.19
     for t in res.traces:
         assert t.mu == mu
@@ -110,7 +108,7 @@ def test_radius_follows_floored_recursion_exactly():
 
 def test_initial_offset_may_spend_the_whole_budget():
     env = register_env(oracle())
-    res = run_alg1(env, base_cfg(c0_samples=40, sample_budget=40))
+    res = run(env, base_cfg(c0_samples=40, sample_budget=40))
     assert res.draws_used == env.total_draws == 40
     assert res.iterations == 0 and res.traces == []
 
@@ -118,7 +116,7 @@ def test_initial_offset_may_spend_the_whole_budget():
 def test_budget_and_draw_accounting():
     cfg = base_cfg()
     env = register_env(oracle())
-    res = run_alg1(env, cfg)
+    res = run(env, cfg)
     planned = sum(30 + 2 * k for k in range(res.iterations))
     assert res.draws_used == cfg.c0_samples + planned
     assert env.total_draws == res.draws_used <= cfg.sample_budget
@@ -130,18 +128,18 @@ def test_budget_and_draw_accounting():
 def test_two_point_draw_accounting_and_no_offset():
     cfg = base_cfg(method="alg2", c0_samples=0)
     env = register_env(oracle())
-    res = run_alg2(env, cfg)
+    res = run(env, cfg)
     assert env.total_draws == 2 * sum(30 + 2 * k for k in range(res.iterations))
     assert all(t.c is None for t in res.traces)
 
 
 def test_max_iters_cap():
-    res = run_alg1(register_env(oracle()), base_cfg(max_iters=5))
+    res = run(register_env(oracle()), base_cfg(max_iters=5))
     assert res.iterations == 5 and len(res.traces) == 5
 
 
 def test_step_law_links_consecutive_iterates():
-    res = run_alg1(register_env(oracle()), base_cfg(max_iters=40))
+    res = run(register_env(oracle()), base_cfg(max_iters=40))
     for prev, nxt in zip(res.traces, res.traces[1:]):
         step_sq = float(np.sum((nxt.x - prev.x) ** 2))
         assert step_sq == pytest.approx(prev.beta**2 * prev.grad_norm_sq, rel=1e-9)
@@ -151,45 +149,63 @@ def test_step_law_links_consecutive_iterates():
     )
 
 
-def test_czo_baseline_is_frozen_one_point_loop():
-    cfg = base_cfg(method="czo1", mu0=1e-3, mu_min=1e-3,
-                   beta_schedule=ConstantBeta(1e-5), sample_budget=2000)
-    res = run_czo1(register_env(oracle()), cfg)
-    assert all(t.mu == 1e-3 and t.c == 0.0 for t in res.traces)
-    # identical to alg1 with the radius and offset pinned by hand
-    from dataclasses import replace
+@pytest.mark.parametrize("method", ["alg1", "alg2", "czo1"])
+def test_steps_follow_the_written_out_update_bit_for_bit(method):
+    # f ignores the outcome, so each step is a closed form of the u_k draws
+    def f(x):
+        return float(x @ x + np.sin(x).sum())
 
-    pinned = replace(cfg, method="alg1", gamma=1.0, c_freeze=0.0, c0_samples=0)
-    ref = run_alg1(register_env(oracle()), pinned)
-    assert len(res.traces) == len(ref.traces)
-    for a, b in zip(res.traces, ref.traces):
-        assert np.array_equal(a.x, b.x)
-        assert (a.mu, a.c, a.grad_norm_sq, a.cumulative_draws) == (
-            b.mu, b.c, b.grad_norm_sq, b.cumulative_draws
-        )
-    assert np.array_equal(res.x_final, ref.x_final)
-    assert np.array_equal(res.x_uniform, ref.x_uniform)
+    env = register_env(DeterministicEnv(f, D))
+    cfg = base_cfg(method=method, beta_schedule=ConstantBeta(1e-3),
+                   batch_schedule=ConstantBatch(1), max_iters=80, sample_budget=10_000)
+    res = run(env, cfg)
+    assert res.iterations == 80 and not res.diverged
+    # only alg1 spends draws on an initial offset; alg2 draws two per element
+    per_iter = 2 if method == "alg2" else 1
+    assert res.draws_used == (cfg.c0_samples if method == "alg1" else 0) + 80 * per_iter
+
+    rng_u = split_rng(cfg.seed, STREAM_PERTURBATION)
+    x, mu = cfg.x0.copy(), cfg.mu0
+    for t in res.traces:
+        u = rng_u.standard_normal(D)
+        beta = cfg.beta_schedule.value(t.k)
+        assert np.array_equal(t.x, x) and t.mu == mu and t.beta == beta
+        if method == "alg2":
+            assert t.c is None
+            g = ((f(x + mu * u) - f(x - mu * u)) / (2.0 * mu)) * u
+        elif method == "czo1":
+            assert t.c == 0.0
+            g = ((f(x + mu * u) - 0.0) / mu) * u
+        else:
+            # the tracked offset is the window's weighted mean of f(x_k)
+            assert t.c == pytest.approx(f(x), rel=1e-12)
+            g = ((f(x + mu * u) - t.c) / mu) * u
+        assert t.grad_norm_sq == float(g @ g)
+        x = x - beta * g
+        if method != "czo1":  # czo1 holds the radius at mu0
+            mu = max(0.95 * mu, 1e-2)
+    assert mu == (0.19 if method == "czo1" else 1e-2)
+    assert np.array_equal(res.x_final, x)
 
 
 def test_seeded_runs_are_reproducible():
-    a = run_alg1(register_env(oracle()), base_cfg())
-    b = run_alg1(register_env(oracle()), base_cfg())
+    a = run(register_env(oracle()), base_cfg())
+    b = run(register_env(oracle()), base_cfg())
     assert len(a.traces) == len(b.traces)
     for ta, tb in zip(a.traces, b.traces):
         assert np.array_equal(ta.x, tb.x)
         assert (ta.mu, ta.c, ta.grad_norm_sq) == (tb.mu, tb.c, tb.grad_norm_sq)
-    c = run_alg1(register_env(oracle()), base_cfg(seed=78))
+    c = run(register_env(oracle()), base_cfg(seed=78))
     assert not np.array_equal(a.x_final, c.x_final)
 
 
 def test_exploding_run_flags_divergence_and_keeps_trace():
-    # frozen offset so the raw objective value drives the step straight
+    # czo1's zero offset lets the raw objective value drive the step straight
     # into overflow; the adaptive offset would cancel most of the growth
     env = register_env(DeterministicEnv(lambda x: float(x @ x), D))
-    cfg = base_cfg(beta_schedule=ConstantBeta(1e8), c0_samples=0,
-                   sample_budget=10_000, batch_schedule=ConstantBatch(1),
-                   c_freeze=0.0)
-    res = run_alg1(env, cfg)
+    cfg = base_cfg(method="czo1", beta_schedule=ConstantBeta(1e8), c0_samples=0,
+                   sample_budget=10_000, batch_schedule=ConstantBatch(1))
+    res = run(env, cfg)
     assert res.diverged
     assert 0 < res.iterations < 20
     assert len(res.traces) == res.iterations + 1
@@ -201,12 +217,12 @@ def test_exploding_run_flags_divergence_and_keeps_trace():
 
 def test_nan_objective_aborts_immediately():
     env = register_env(DeterministicEnv(lambda x: float("nan"), D))
-    res = run_alg1(env, base_cfg(c0_samples=0))
+    res = run(env, base_cfg(c0_samples=0))
     assert res.diverged and res.iterations == 0 and len(res.traces) == 1
 
 
 def test_probe_cadence_and_argument():
-    res = run_alg1(
+    res = run(
         register_env(oracle()), base_cfg(max_iters=20),
         probe_fn=lambda x: float(x[0]), probe_every=3,
     )
@@ -219,36 +235,19 @@ def test_probe_cadence_and_argument():
 
 
 def test_uniform_pick_comes_from_the_iterate_sequence():
-    res = run_alg1(register_env(oracle()), base_cfg(max_iters=30))
+    res = run(register_env(oracle()), base_cfg(max_iters=30))
     iterates = [t.x for t in res.traces] + [res.x_final]
     assert any(np.array_equal(res.x_uniform, it) for it in iterates)
-    again = run_alg1(register_env(oracle()), base_cfg(max_iters=30))
+    again = run(register_env(oracle()), base_cfg(max_iters=30))
     assert np.array_equal(res.x_uniform, again.x_uniform)
 
 
 def test_uniform_weight_ablation_changes_offsets():
-    plain = run_alg1(register_env(oracle()), base_cfg(max_iters=25))
-    flat = run_alg1(register_env(oracle()), base_cfg(max_iters=25, uniform_weights=True))
+    plain = run(register_env(oracle()), base_cfg(max_iters=25))
+    flat = run(register_env(oracle()), base_cfg(max_iters=25, uniform_weights=True))
     cs_plain = [t.c for t in plain.traces[2:]]
     cs_flat = [t.c for t in flat.traces[2:]]
     assert cs_plain != cs_flat
-
-
-def test_dispatch_and_method_mismatch():
-    cfg = base_cfg()
-    with pytest.raises(ValueError):
-        run_alg2(register_env(oracle()), cfg)
-    with pytest.raises(ValueError):
-        run_czo1(register_env(oracle()), cfg)
-    via_dispatch = run(register_env(oracle()), cfg)
-    direct = run_alg1(register_env(oracle()), cfg)
-    assert np.array_equal(via_dispatch.x_final, direct.x_final)
-
-
-def test_single_generator_mode_runs():
-    rng = split_rng(5, 0)
-    res = run_alg1(register_env(oracle()), base_cfg(max_iters=10), rng=rng)
-    assert res.iterations == 10
 
 
 def test_theory_params_hand_worked_values():

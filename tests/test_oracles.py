@@ -15,7 +15,6 @@ from zodd import (
     estimator_moment_bound,
     mc_smoothed_value,
     offset_tracking_ceiling,
-    oracle_true_gradient,
     register_env,
     split_rng,
 )
@@ -45,7 +44,6 @@ def test_gradient_matches_finite_differences():
         x = rng.standard_normal(d)
         fd = finite_diff_grad(oracle.value, x)
         assert np.allclose(oracle.gradient(x), fd, atol=1e-6)
-        assert np.allclose(oracle_true_gradient(oracle, x), oracle.gradient(x))
 
 
 def test_smoothed_value_closed_form_vs_monte_carlo():
