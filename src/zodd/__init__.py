@@ -76,7 +76,6 @@ from .pricing import (
     make_pricing_spec,
     piecewise_cost,
     pricing_f,
-    sample_demand,
     synth_theta,
 )
 from .rng import (
@@ -148,7 +147,6 @@ __all__ = [
     "run",
     "run_experiment",
     "run_suite",
-    "sample_demand",
     "serialize_config",
     "split_rng",
     "summarize",

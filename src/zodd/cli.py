@@ -19,7 +19,7 @@ from .harness import (
     trace_plotdata,
     write_plotdata_csv,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -41,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated method tokens, e.g. alg1-mini,czo1-mini")
 
     p_ver = sub.add_parser("verify", help="run a Monte-Carlo verification suite")
-    p_ver.add_argument("suite", choices=["estimators", "weights", "schedules", "pricing", "all"])
+    p_ver.add_argument("suite", choices=[*SUITES, "all"])
     p_ver.add_argument("--seed", type=int, default=2024)
 
     p_plot = sub.add_parser("plotdata", help="flatten trace files into a plotting CSV")

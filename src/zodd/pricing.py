@@ -24,7 +24,6 @@ __all__ = [
     "PricingEnv",
     "make_pricing_spec",
     "choice_probs",
-    "sample_demand",
     "piecewise_cost",
     "pricing_f",
     "synth_theta",
@@ -134,7 +133,7 @@ def _choice_probs(spec: PricingEnvSpec, log_a0: float, x: np.ndarray) -> np.ndar
 
 
 def _tally_choices(p: np.ndarray, n: int, m_buyers: int, draws: np.ndarray) -> np.ndarray:
-    # draws: uniform[0,1) of shape (..., m_buyers); inverse-CDF categorical.
+    # draws: uniform[0,1) of shape (rows, m_buyers); inverse-CDF categorical.
     # draws is the caller's fresh private array and is sorted in place, row
     # by row: a row's counts do not depend on the order of its buyers, so
     # every count is unchanged, and sorted keys make the binary search's
@@ -144,8 +143,6 @@ def _tally_choices(p: np.ndarray, n: int, m_buyers: int, draws: np.ndarray) -> n
     cdf[-1] = 1.0
     # cdf[-1] = 1.0 exceeds every draw, so no index passes n, whatever p holds
     idx = cdf.searchsorted(draws, side="right")
-    if idx.ndim == 1:
-        return np.bincount(idx, minlength=n + 1).astype(np.int64, copy=False)
     rows = idx.shape[0]
     if rows == 1:
         counts = np.bincount(idx[0], minlength=n + 1)
@@ -153,17 +150,6 @@ def _tally_choices(p: np.ndarray, n: int, m_buyers: int, draws: np.ndarray) -> n
         flat = idx + (n + 1) * np.arange(rows)[:, None]
         counts = np.bincount(flat.ravel(), minlength=rows * (n + 1))
     return counts.reshape(rows, n + 1).astype(np.int64, copy=False)
-
-
-def sample_demand(spec: PricingEnvSpec, x, rng: np.random.Generator) -> np.ndarray:
-    """One demand realization: per-option buyer counts, summing to m_buyers.
-
-    Each buyer draws independently from the choice probabilities
-    (inverse-CDF on the stabilized vector); entry 0 counts the buyers who
-    bought nothing.
-    """
-    p = choice_probs(spec, x)
-    return _tally_choices(p, spec.n, spec.m_buyers, rng.random(spec.m_buyers))
 
 
 def piecewise_cost(spec: PricingEnvSpec, counts) -> np.ndarray:

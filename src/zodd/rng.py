@@ -29,15 +29,18 @@ STREAM_INIT_OFFSET = 4
 STREAM_INSTANCE = 5
 
 
+def fold_seed(seed: int) -> int:
+    """The entropy :func:`split_rng` uses for ``seed``: negatives fold in 64-bit,
+    since SeedSequence wants nonnegative entropy, so -1 names 2**64 - 1."""
+    seed = int(seed)
+    return seed + (1 << 64) if seed < 0 else seed
+
+
 def split_rng(seed: int, stream_id: int) -> np.random.Generator:
     """Return the RNG stream identified by ``(seed, stream_id)``.
 
-    The same pair always yields an identical stream; distinct pairs yield
-    streams that are independent by construction.
+    The same pair always yields an identical stream; pairs whose seeds differ
+    after :func:`fold_seed` yield streams that are independent by construction.
     """
-    seed = int(seed)
-    if seed < 0:
-        # SeedSequence wants nonnegative entropy; fold negatives in 64-bit.
-        seed += 1 << 64
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(int(stream_id),))
+    ss = np.random.SeedSequence(entropy=fold_seed(seed), spawn_key=(int(stream_id),))
     return np.random.default_rng(ss)

@@ -3,7 +3,9 @@
 Each test covers one advertised behavioral guarantee, measures it the way a
 skeptical user would (closed forms, independent references, fresh seeds),
 and records a one-line verdict for the terminal summary. Monte-Carlo sizes
-and tolerances are fixed; every run is deterministic.
+and tolerances are fixed; every run is deterministic. The estimator and
+demand tests run the checks behind ``zodd verify`` (``zodd.verify``) at full
+size.
 """
 
 import filecmp
@@ -12,30 +14,22 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 from refs import pg_min_quadratic_simplex, quadratic_simplex_obj
 from zodd import (
     Environment,
     ExperimentSpec,
-    PricingEnv,
     QuadraticShiftOracle,
     RunConfig,
-    SmoothingState,
-    estimator_moment_bound,
-    make_pricing_spec,
-    moment_samples,
     offset_tracking_ceiling,
-    one_point_estimate,
     register_env,
     run,
     run_experiment,
     split_rng,
-    synth_theta,
-    two_point_estimate,
 )
-from zodd.optimize import ConstantBatch, ConstantBeta, GeometricBeta
+from zodd.optimize import ConstantBatch, ConstantBeta
+from zodd.verify import check_demand, check_moment_bounds, check_offset_variance, check_unbiased
 
 
 def _verdict(ok, name, detail):
@@ -45,46 +39,15 @@ def _verdict(ok, name, detail):
     assert ok, line
 
 
-def _mean_and_se(env, x, state, n, rng, kind):
-    estimate = one_point_estimate if kind == "one-point" else two_point_estimate
-    d = env.dim()
-    total = np.zeros(d)
-    total_sq = np.zeros(d)
-    for _ in range(n):
-        g = estimate(env, x, state, 1, rng).g
-        total += g
-        total_sq += g * g
-    mean = total / n
-    var = np.maximum(total_sq / n - mean**2, 0.0)
-    return mean, np.sqrt(var / n)
-
-
-def acceptance_oracle(d=5):
-    return QuadraticShiftOracle(0.2 * np.eye(d), np.full(d, 0.45), 1.0)
-
-
 def test_estimator_means_match_smoothed_gradient():
     # both estimators, 2e5 trials each, componentwise deviation <= 5 SE,
     # one-point checked at offsets 0, F(x), and 100
     t0 = time.perf_counter()
-    d, mu, n = 5, 0.5, 200_000
-    oracle = acceptance_oracle(d)
-    x = np.ones(d)
-    target = oracle.smoothed_gradient(x, mu)
-    rng = split_rng(501, 0)
-    worst = 0.0
-    for c in (0.0, oracle.value(x), 100.0):
-        mean, se = _mean_and_se(
-            register_env(oracle), x, SmoothingState(mu, c), n, rng, "one-point"
-        )
-        worst = max(worst, float(np.max(np.abs(mean - target) / se)))
-    mean, se = _mean_and_se(
-        register_env(oracle), x, SmoothingState(mu), n, rng, "two-point"
-    )
-    worst = max(worst, float(np.max(np.abs(mean - target) / se)))
+    results = check_unbiased(200_000, split_rng(501, 0))
+    worst = max(r.value for r in results)
     elapsed = time.perf_counter() - t0
     _verdict(
-        worst <= 5.0 and elapsed < 30.0,
+        all(r.passed for r in results) and elapsed < 30.0,
         "estimator unbiasedness",
         f"max deviation {worst:.2f} SE (limit 5), {elapsed:.1f}s (limit 30)",
     )
@@ -93,51 +56,17 @@ def test_estimator_means_match_smoothed_gradient():
 def test_offset_at_function_value_halves_second_moment():
     # second moment of the one-point estimate at a point with F(x) = 10,
     # offset F(x) vs offset 0, ratio < 0.5 at 1e5 trials
-    d, mu, n = 5, 0.1, 100_000
-    oracle = acceptance_oracle(d)
-    # solve ||x||^2 + b.(A t e) = 10 along x = t e
-    lin = float(np.full(d, 0.45) @ (0.2 * np.eye(d) @ np.ones(d)))
-    t = (-lin + np.sqrt(lin**2 + 4.0 * d * 10.0)) / (2.0 * d)
-    x = np.full(d, t)
-    assert oracle.value(x) == pytest.approx(10.0, abs=1e-12)
-    rng = split_rng(502, 0)
-    with_offset = np.mean(
-        moment_samples(register_env(oracle), x, SmoothingState(mu, oracle.value(x)),
-                       1, n, rng)
-    )
-    without = np.mean(
-        moment_samples(register_env(oracle), x, SmoothingState(mu, 0.0), 1, n, rng)
-    )
-    ratio = float(with_offset / without)
-    _verdict(ratio < 0.5, "offset variance reduction",
-             f"second-moment ratio {ratio:.4f} (limit 0.5)")
+    result = check_offset_variance(100_000, split_rng(502, 0))
+    _verdict(result.passed, "offset variance reduction",
+             f"second-moment ratio {result.value:.4f} (limit 0.5)")
 
 
 def test_second_moments_within_analytic_bounds():
     # empirical E||g||^2 against the closed-form bound on a (mu, m) grid,
     # 1e5 trials per cell, violations beyond 3 SE fail
-    d, n = 5, 100_000
-    oracle = acceptance_oracle(d)
-    x = np.ones(d)
-    grad_sq = float(np.sum(oracle.gradient(x) ** 2))
-    rng = split_rng(503, 0)
-    worst = -np.inf
-    for kind in ("one-point", "two-point"):
-        for mu in (0.05, 0.1, 0.5):
-            for m in (1, 10):
-                sq = moment_samples(
-                    register_env(oracle), x, SmoothingState(mu), m, n, rng, kind
-                )
-                emp = float(np.mean(sq))
-                se = float(np.std(sq) / np.sqrt(n))
-                bound = estimator_moment_bound(
-                    kind, d=d, mu=mu, m=m, sigma=oracle.sigma,
-                    smoothness=oracle.smoothness, grad_norm_sq=grad_sq,
-                    offset_gap_sq=oracle.value(x) ** 2 if kind == "one-point" else 0.0,
-                )
-                worst = max(worst, (emp - bound) / se)
-    _verdict(worst <= 3.0, "second-moment bounds",
-             f"worst excess {worst:.2f} SE over 12 grid cells (limit 3)")
+    result = check_moment_bounds(100_000, split_rng(503, 0))
+    _verdict(result.passed, "second-moment bounds",
+             f"worst excess {result.value:.2f} SE over 12 grid cells (limit 3)")
 
 
 def test_reuse_weights_are_simplex_optimal():
@@ -288,18 +217,11 @@ def test_pricing_benchmark_orders_methods(tmp_path):
 def test_demand_calibration_at_reference_prices():
     # at x = theta every option has probability 1/(n + a0); with n=10,
     # a0=1, 40 buyers: E[xi_i] = 40/11, checked to 3 SE at 1e5 draws
-    n_draws = 100_000
-    theta, w = synth_theta(10, split_rng(505, 0))
-    spec = make_pricing_spec(10, 40, theta, w)
-    batch = register_env(PricingEnv(spec)).sample(theta, n_draws, split_rng(506, 0))
-    conserved = bool(np.all(batch.outcomes.sum(axis=1) == 40))
-    p = 1.0 / 11.0
-    se = np.sqrt(40 * p * (1 - p) / n_draws)
-    dev = float(np.max(np.abs(batch.outcomes[:, 1:].mean(axis=0) - 40 * p) / se))
+    conserved, calibrated = check_demand(100_000, split_rng(505, 0), split_rng(506, 0))
     _verdict(
-        conserved and dev <= 3.0,
+        conserved.passed and calibrated.passed,
         "demand calibration",
-        f"max |mean - 40/11| = {dev:.2f} SE (limit 3), all realizations sum to 40",
+        f"max |mean - 40/11| = {calibrated.value:.2f} SE (limit 3), all realizations sum to 40",
     )
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from refs import welch_ref
 from zodd import (
+    CheckResult,
     ConfigError,
     ExperimentSpec,
     IterTrace,
@@ -20,12 +21,14 @@ from zodd import (
     read_trace,
     run_experiment,
     serialize_config,
+    split_rng,
     summarize,
     trace_plotdata,
     welch_t,
     write_plotdata_csv,
     write_trace,
 )
+from zodd import verify
 from zodd.cli import main as cli_main
 from zodd.harness import (
     METHOD_GRID,
@@ -121,6 +124,20 @@ def test_duplicate_seeds_are_refused(tmp_path, capsys):
         parse_config("run.seeds=4,7,4\n")
     cfg_path = tmp_path / "dup.cfg"
     cfg_path.write_text("env.kind=analytic\nrun.seeds=1,1\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "duplicate seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seeds_naming_one_stream_are_refused(tmp_path, capsys):
+    # split_rng folds -1 into 2**64 - 1: the two seeds would be one run twice
+    assert np.array_equal(split_rng(-1, 0).random(3), split_rng(2**64 - 1, 0).random(3))
+    ExperimentSpec(seeds=(-1, 1))
+    cfg_path = tmp_path / "fold.cfg"
+    cfg_path.write_text("run.seeds=-1,18446744073709551615\n")
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        parse_config(cfg_path.read_text())
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "duplicate seeds" in capsys.readouterr().err
@@ -585,6 +602,24 @@ def test_cli_verify_exit_codes(capsys):
     assert cli_main(["verify", "weights"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "checks passed" in out
+
+
+def test_cli_verify_failing_check_exits_1(capsys, monkeypatch):
+    failing = CheckResult("always fails", False, "observed 1", "0")
+    monkeypatch.setitem(verify.SUITES, "weights", lambda seed: [failing])
+    assert cli_main(["verify", "weights"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] always fails  observed 1  (require 0)" in out
+    assert "0/1 checks passed" in out
+
+
+def test_cli_verify_takes_suite_names_from_the_module(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "extra", lambda seed: [CheckResult("ok", True, "1", "1")])
+    assert cli_main(["verify", "extra"]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "nope"])
+    assert exc.value.code == 2
 
 
 def test_run_record_json_fields(tmp_path):

@@ -17,7 +17,6 @@ from zodd import (
     piecewise_cost,
     pricing_f,
     register_env,
-    sample_demand,
     split_rng,
     synth_theta,
 )
@@ -98,7 +97,7 @@ def test_demand_conserves_buyers(seed):
     rng = np.random.default_rng(seed)
     spec = default_spec()
     x = rng.uniform(-1.0, 3.0, spec.n)
-    xi = sample_demand(spec, x, rng)
+    xi = PricingEnv(spec).sample(x, 1, rng).outcomes[0]
     assert xi.shape == (spec.n + 1,)
     assert xi.sum() == spec.m_buyers
     assert np.all(xi >= 0)
@@ -115,7 +114,7 @@ def test_demand_tally_matches_interval_counting():
     expect = np.zeros(spec.n + 1, dtype=np.int64)
     for r in draws:
         expect[min(int(np.sum(r >= cdf)), spec.n)] += 1
-    xi = sample_demand(spec, x, split_rng(35, 0))
+    xi = PricingEnv(spec).sample(x, 1, split_rng(35, 0)).outcomes[0]
     assert np.array_equal(xi, expect)
 
 
@@ -134,9 +133,10 @@ def test_demand_mean_tracks_choice_probabilities():
 def test_batch_sampling_equals_sequential_draws():
     spec = default_spec()
     x = spec.theta * 1.1
-    batch = PricingEnv(spec).sample(x, 6, split_rng(37, 0))
+    env = PricingEnv(spec)
+    batch = env.sample(x, 6, split_rng(37, 0))
     rng = split_rng(37, 0)
-    rows = [sample_demand(spec, x, rng) for _ in range(6)]
+    rows = [env.sample(x, 1, rng).outcomes[0] for _ in range(6)]
     assert np.array_equal(batch.outcomes, np.stack(rows))
 
 
@@ -294,9 +294,8 @@ def test_choice_probs_equal_the_concatenated_softmax_bit_for_bit():
             expect = e / e.sum()
             assert choice_probs(spec, x).tobytes() == expect.tobytes()
             # sampling draws its demand from the same probabilities
-            rng_a, rng_b = split_rng(43, 0), split_rng(43, 0)
-            got = env.sample(x, 1, rng_a).outcomes[0]
-            assert np.array_equal(got, sample_demand(spec, x, rng_b))
+            got = env.sample(x, 1, split_rng(43, 0)).outcomes[0]
+            assert np.array_equal(got, tally_by_buyer(expect, split_rng(43, 0).random(spec.m_buyers)))
 
 
 @pytest.mark.parametrize(
@@ -366,11 +365,11 @@ def test_demand_tally_matches_per_buyer_counting(m):
         assert outcomes.dtype == np.int64 and outcomes.flags.c_contiguous
         expect = tally_by_buyer(p, clone.random((m, spec.m_buyers)))
         assert np.array_equal(outcomes, expect), name
-        # sample_demand draws the same uniforms one row at a time
+        # one-row samples draw the same uniforms one row at a time
         rng = split_rng(48, m)
         clone = copy.deepcopy(rng)
         for _ in range(m):
-            xi = sample_demand(spec, x, rng)
+            xi = env.sample(x, 1, rng).outcomes[0]
             assert xi.dtype == np.int64 and xi.flags.c_contiguous
             assert np.array_equal(xi, tally_by_buyer(p, clone.random(spec.m_buyers))), name
         assert np.array_equal(x, x_before), name
@@ -385,5 +384,5 @@ def test_tally_ties_go_to_the_higher_option():
     got = _tally_choices(p, 3, 6, draws.copy())
     assert got.tolist() == expect
     assert got.dtype == np.int64 and got.flags.c_contiguous
-    assert _tally_choices(p, 3, 6, draws[0].copy()).tolist() == expect[0]
+    assert _tally_choices(p, 3, 6, draws[:1].copy()).tolist() == expect[:1]
     assert _tally_choices(p, 3, 6, draws[::-1, ::-1].copy()).tolist() == expect[::-1]
