@@ -140,7 +140,11 @@ class ExperimentSpec:
         if self.seeds is not None and len(self.seeds) < 1:
             raise ConfigError("run.seeds must be nonempty when given")
         # split_rng folds -1 and 2**64 - 1 into one stream: the same run twice
-        if self.seeds is not None and len({fold_seed(s) for s in self.seeds}) != len(self.seeds):
+        try:
+            folded = {fold_seed(s) for s in self.seeds or (self.base_seed,)}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.seeds is not None and len(folded) != len(self.seeds):
             raise ConfigError("duplicate seeds in run.seeds")
         if self.n_instances < 1:
             raise ConfigError("run.n_instances must be >= 1")

@@ -31,8 +31,13 @@ STREAM_INSTANCE = 5
 
 def fold_seed(seed: int) -> int:
     """The entropy :func:`split_rng` uses for ``seed``: negatives fold in 64-bit,
-    since SeedSequence wants nonnegative entropy, so -1 names 2**64 - 1."""
+    since SeedSequence wants nonnegative entropy, so -1 names 2**64 - 1.
+
+    Raises ValueError for a seed below -2**64, which would still be negative.
+    """
     seed = int(seed)
+    if seed < -(1 << 64):
+        raise ValueError(f"seed must be >= -2**64, got {seed}")
     return seed + (1 << 64) if seed < 0 else seed
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import SampleBatch, SampleLedger, register_env
+from .env import SampleBatch, SampleLedger, mean_objective, register_env
 from .estimators import (
     SmoothingState,
     moment_samples,
@@ -41,7 +41,6 @@ from .oracles import QuadraticShiftOracle, estimator_moment_bound
 from .pricing import (
     PricingEnv,
     choice_probs,
-    eval_obj_metric,
     make_pricing_spec,
     piecewise_cost,
     synth_theta,
@@ -83,9 +82,13 @@ def _check(name, passed, observed, threshold, value=math.nan) -> CheckResult:
 # --- estimators ----------------------------------------------------------------
 
 
-def _check_oracle(d: int = 5) -> QuadraticShiftOracle:
+# Every estimator check runs in dimension 5.
+_D = 5
+
+
+def _check_oracle() -> QuadraticShiftOracle:
     """The estimator checks' oracle: A = 0.2 I, b = 0.45 (every entry), sigma = 1."""
-    return QuadraticShiftOracle(0.2 * np.eye(d), np.full(d, 0.45), 1.0)
+    return QuadraticShiftOracle(0.2 * np.eye(_D), np.full(_D, 0.45), 1.0)
 
 
 def _mean_and_se(env, x, state, n, rng, kind):
@@ -102,11 +105,12 @@ def _mean_and_se(env, x, state, n, rng, kind):
     return mean, np.sqrt(var / n)
 
 
-def check_unbiased(n_trials: int, rng, d: int = 5, mu: float = 0.5) -> list[CheckResult]:
-    """Estimator means within 5 SE of the smoothed gradient at x = 1: one-point at
-    offsets 0, F(x) and 100, then two-point, ``n_trials`` estimates each."""
-    oracle = _check_oracle(d)
-    x = np.ones(d)
+def check_unbiased(n_trials: int, rng) -> list[CheckResult]:
+    """Estimator means within 5 SE of the smoothed gradient at x = 1 with mu = 0.5:
+    one-point at offsets 0, F(x) and 100, then two-point, ``n_trials`` estimates each."""
+    oracle = _check_oracle()
+    mu = 0.5
+    x = np.ones(_D)
     target = oracle.smoothed_gradient(x, mu)
     cases = [("one-point", c) for c in (0.0, oracle.value(x), 100.0)] + [("two-point", 0.0)]
     results = []
@@ -118,13 +122,14 @@ def check_unbiased(n_trials: int, rng, d: int = 5, mu: float = 0.5) -> list[Chec
     return results
 
 
-def check_offset_variance(n_trials: int, rng, d: int = 5, mu: float = 0.1) -> CheckResult:
-    """One-point second moment with offset F(x) under half that with offset 0,
-    at the point ``x = t 1`` where F(x) = 10, ``n_trials`` estimates per offset."""
-    oracle = _check_oracle(d)
+def check_offset_variance(n_trials: int, rng) -> CheckResult:
+    """One-point second moment with offset F(x) under half that with offset 0, with
+    mu = 0.1 at the point ``x = t 1`` where F(x) = 10, ``n_trials`` estimates per offset."""
+    oracle = _check_oracle()
+    mu = 0.1
     # solve ||x||^2 + b.(A t 1) = 10 along x = t 1
-    lin = float(oracle.b @ (oracle.a_matrix @ np.ones(d)))
-    x = np.full(d, (-lin + np.sqrt(lin**2 + 4.0 * d * 10.0)) / (2.0 * d))
+    lin = float(oracle.b @ (oracle.a_matrix @ np.ones(_D)))
+    x = np.full(_D, (-lin + np.sqrt(lin**2 + 4.0 * _D * 10.0)) / (2.0 * _D))
     f_x = oracle.value(x)
     with_offset = np.mean(moment_samples(register_env(oracle), x, SmoothingState(mu, f_x), 1, n_trials, rng))
     without = np.mean(moment_samples(register_env(oracle), x, SmoothingState(mu, 0.0), 1, n_trials, rng))
@@ -133,11 +138,11 @@ def check_offset_variance(n_trials: int, rng, d: int = 5, mu: float = 0.1) -> Ch
                   f"ratio {ratio:.4f} at F(x) = {f_x:g}", "< 0.5 at F(x) = 10", ratio)
 
 
-def check_moment_bounds(n_trials: int, rng, d: int = 5) -> CheckResult:
+def check_moment_bounds(n_trials: int, rng) -> CheckResult:
     """E||g||^2 at x = 1 within 3 SE of its closed-form bound, for both estimators,
     mu in {0.05, 0.1, 0.5} and m in {1, 10}: 12 cells of ``n_trials`` estimates."""
-    oracle = _check_oracle(d)
-    x = np.ones(d)
+    oracle = _check_oracle()
+    x = np.ones(_D)
     grad_sq = float(np.sum(oracle.gradient(x) ** 2))
     worst = -np.inf
     for kind in ("one-point", "two-point"):
@@ -147,7 +152,7 @@ def check_moment_bounds(n_trials: int, rng, d: int = 5) -> CheckResult:
                 emp = float(np.mean(sq))
                 se = float(np.std(sq) / np.sqrt(n_trials))
                 bound = estimator_moment_bound(
-                    kind, d=d, mu=mu, m=m, sigma=oracle.sigma,
+                    kind, d=_D, mu=mu, m=m, sigma=oracle.sigma,
                     smoothness=oracle.smoothness, grad_norm_sq=grad_sq,
                     offset_gap_sq=oracle.value(x) ** 2 if kind == "one-point" else 0.0,
                 )
@@ -256,9 +261,19 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
     oracle = QuadraticShiftOracle(0.1 * np.eye(d), np.ones(d), 0.5)
 
     cfg = RunConfig(
-        x0=np.full(d, 1.0), mu0=0.19, mu_min=1e-4, gamma=0.95, s_max=10, m_scale=0.1,
-        beta_schedule=GeometricBeta(1e-3 * 0.95, 0.95), batch_schedule=AffineBatch(30, 2),
-        c0_samples=20, sample_budget=20000, max_iters=200, seed=seed, method="alg1",
+        x0=np.full(d, 1.0),
+        mu0=0.19,
+        mu_min=1e-4,
+        gamma=0.95,
+        s_max=10,
+        m_scale=0.1,
+        beta_schedule=GeometricBeta(1e-3 * 0.95, 0.95),
+        batch_schedule=AffineBatch(30, 2),
+        c0_samples=20,
+        sample_budget=20000,
+        max_iters=200,
+        seed=seed,
+        method="alg1",
     )
     res = run(register_env(oracle), cfg)
     mus = np.array([t.mu for t in res.traces])
@@ -266,32 +281,49 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
     k_pin = int(np.ceil(np.log(1e-4 / 0.19) / np.log(0.95)))
     if len(mus) > k_pin:
         law_ok &= bool(np.all(mus[k_pin:] == 1e-4))
-    results.append(_check("radius schedule law", law_ok, f"mu1={mus[1]:.6f}, pinned from k={k_pin}",
-                          "max(gamma*mu, mu_min), floor 1e-4"))
+    results.append(
+        _check("radius schedule law", law_ok, f"mu1={mus[1]:.6f}, pinned from k={k_pin}",
+               "max(gamma*mu, mu_min), floor 1e-4")
+    )
 
     cfg_b = replace(cfg, sample_budget=5000, c0_samples=0, max_iters=10**6)
     env_b = register_env(oracle)
     res_b = run(env_b, cfg_b)
     expected = sum(30 + 2 * k for k in range(res_b.iterations))
     next_batch = 30 + 2 * res_b.iterations
-    budget_ok = env_b.total_draws == expected <= 5000 < env_b.total_draws + next_batch
-    results.append(_check("budget accounting (alg1)", budget_ok,
-                          f"draws {env_b.total_draws} after {res_b.iterations} iters",
-                          "sum m_k <= 5000 < sum + next"))
+    budget_ok = (
+        env_b.total_draws == expected
+        and env_b.total_draws <= 5000
+        and env_b.total_draws + next_batch > 5000
+    )
+    results.append(
+        _check("budget accounting (alg1)", budget_ok,
+               f"draws {env_b.total_draws} after {res_b.iterations} iters", "sum m_k <= 5000 < sum + next")
+    )
 
-    cfg_czo = replace(cfg, method="czo1", mu0=1e-3, mu_min=1e-3,
-                      beta_schedule=ConstantBeta(1e-5), sample_budget=3000)
+    cfg_czo = replace(
+        cfg,
+        method="czo1",
+        mu0=1e-3,
+        mu_min=1e-3,
+        beta_schedule=ConstantBeta(1e-5),
+        sample_budget=3000,
+    )
     res_czo = run(register_env(oracle), cfg_czo)
     frozen_ok = bool(res_czo.traces) and all(t.mu == 1e-3 and t.c == 0.0 for t in res_czo.traces)
-    results.append(_check("czo1 holds mu and c", frozen_ok, f"{len(res_czo.traces)} iterations",
-                          "mu = 1e-3, c = 0.0 throughout"))
+    results.append(
+        _check("czo1 holds mu and c", frozen_ok,
+               f"{len(res_czo.traces)} iterations", "mu = 1e-3, c = 0.0 throughout")
+    )
 
     cfg2 = replace(cfg, method="alg2")
     env2 = register_env(oracle)
     res2 = run(env2, cfg2)
     expected2 = 2 * sum(30 + 2 * k for k in range(res2.iterations))
-    results.append(_check("two-point draw accounting", env2.total_draws == expected2,
-                          f"draws {env2.total_draws}", "2 * sum m_k"))
+    results.append(
+        _check("two-point draw accounting", env2.total_draws == expected2,
+               f"draws {env2.total_draws}", "2 * sum m_k")
+    )
 
     rerun = run(register_env(oracle), cfg)
     ident = len(rerun.traces) == len(res.traces) and all(
@@ -306,21 +338,28 @@ def verify_schedules(seed: int = 2024) -> list[CheckResult]:
 def _theory_examples() -> list[CheckResult]:
     # Step-size selection examples with hand-derived values.
     tc = TheoryConstants(sigma=1.0, alpha=1.0, lip_xi=1.0, lip_x=1.0, smoothness=1.0, epsilon=0.1)
+    results = []
     s1 = 0.1 / (tc.epsilon * 4**-1.5)  # scale making mu_min exactly 0.1 at d=4
     tp1 = theory_params(tc, d=4, T=99, scale=(s1, s1, 1.0), method="alg1")
     tp2 = theory_params(tc, d=4, T=99, scale=(s1, s1, 1.0), method="alg2")
+    ok1 = abs(tp1.beta - 0.1 / (2.0 * np.sqrt(24.0))) < 1e-12
+    ok2 = abs(tp2.beta - 1.0 / 96.0) < 1e-12
+    results.append(
+        _check("theory step size (three-term min)", ok1, f"beta={tp1.beta:.6f}", "0.010206")
+    )
+    results.append(
+        _check("theory step size (two-term min)", ok2, f"beta={tp2.beta:.6f}", "0.010417")
+    )
     tp3 = theory_params(tc, d=4, T=99, scale=(1.0, 1.0, 1.0))
-    return [
-        _check("theory step size (three-term min)", abs(tp1.beta - 0.1 / (2.0 * np.sqrt(24.0))) < 1e-12,
-               f"beta={tp1.beta:.6f}", "0.010206"),
-        _check("theory step size (two-term min)", abs(tp2.beta - 1.0 / 96.0) < 1e-12,
-               f"beta={tp2.beta:.6f}", "0.010417"),
-        _check("theory sizing (mu_min, batch)", abs(tp3.mu_min - 0.0125) < 1e-15 and tp3.batch_size == 1600,
-               f"mu_min={tp3.mu_min}, m={tp3.batch_size}", "0.0125, 1600"),
-    ]
+    ok3 = abs(tp3.mu_min - 0.0125) < 1e-15 and tp3.batch_size == 1600
+    results.append(
+        _check("theory sizing (mu_min, batch)", ok3,
+               f"mu_min={tp3.mu_min}, m={tp3.batch_size}", "0.0125, 1600")
+    )
+    return results
 
 
-# --- pricing -------------------------------------------------------------------
+# --- pricing# --- pricing -------------------------------------------------------------------
 
 # Every pricing check runs on 10 products and 40 buyers.
 _N, _BUYERS = 10, 40
@@ -398,15 +437,19 @@ def check_costs(n_instances: int, rng) -> list[CheckResult]:
 
 
 def check_metric_ledger(n_eval: int, rng) -> CheckResult:
-    """The solution metric counts its draws on its own ledger, not the budget's."""
+    """The solution metric counts its draws on its own ledger, not the budget's.
+
+    Follows ``run_experiment``: the metric samples the environment that the
+    optimizer's budget handle wraps.
+    """
     theta, w = synth_theta(_N, rng)
-    spec = make_pricing_spec(_N, _BUYERS, theta, w)
-    budget_env = register_env(PricingEnv(spec))
+    env = PricingEnv(make_pricing_spec(_N, _BUYERS, theta, w))
+    handle = register_env(env)
     metric_ledger = SampleLedger()
-    eval_obj_metric(spec, theta, n_eval, rng, metric_ledger)
+    mean_objective(env, theta, n_eval, rng, metric_ledger)
     return _check("metric draws on separate ledger",
-                  metric_ledger.total_draws == n_eval and budget_env.total_draws == 0,
-                  f"metric {metric_ledger.total_draws}, budget {budget_env.total_draws}",
+                  metric_ledger.total_draws == n_eval and handle.total_draws == 0,
+                  f"metric {metric_ledger.total_draws}, budget {handle.total_draws}",
                   f"{n_eval} metric, 0 budget")
 
 
@@ -430,6 +473,11 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 2024) -> list[CheckResult]:
     """Run one named suite, or all of them with ``name='all'``."""
-    if name != "all" and name not in SUITES:
+    if name == "all":
+        results = []
+        for suite in SUITES.values():
+            results.extend(suite(seed))
+        return results
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return [r for key in (SUITES if name == "all" else [name]) for r in SUITES[key](seed)]
+    return SUITES[name](seed)

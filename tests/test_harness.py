@@ -142,6 +142,16 @@ def test_seeds_naming_one_stream_are_refused(tmp_path, capsys):
     assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "duplicate seeds" in capsys.readouterr().err
     assert not out.exists()
+    # below -2**64 a seed stays negative after folding: no stream can take it
+    ExperimentSpec(seeds=(-(2**64),))
+    with pytest.raises(ConfigError, match="seed must be >= -2"):
+        ExperimentSpec(seeds=(-(2**64) - 1,))
+    with pytest.raises(ConfigError, match="seed must be >= -2"):
+        ExperimentSpec(base_seed=-(2**64) - 1)
+    cfg_path.write_text("env.kind=analytic\nrun.seeds=-18446744073709551617\n")
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "seed must be >= -2**64" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resolved_seeds():
@@ -411,15 +421,23 @@ def test_run_experiment_outputs(tmp_path):
 
 
 def test_run_experiment_metric_ledger_is_separate(tmp_path):
-    spec = tiny_spec(tmp_path, methods=("alg1-mini",), n_instances=1, metric_every=3)
-    outcome = run_experiment(spec)
-    rec = outcome.records[0]
-    probes = sum(
-        1 for row in read_trace(outcome.trace_paths[(rec.method, rec.seed)])
-        if row["obj_probe"] is not None
-    )
-    assert rec.metric_draws == spec.metric_samples * (probes + 2)
-    assert rec.draws <= spec.budget
+    # the metric samples the environment the budget handle wraps, never the handle,
+    # so probing it changes no budget draw
+    pricing = dict(env_kind="pricing", n_products=3, m_buyers=5)
+    for name, over in (("analytic", {}), ("pricing", pricing)):
+        kw = dict(methods=("alg1-mini",), n_instances=1, **over)
+        quiet = run_experiment(tiny_spec(tmp_path / name / "quiet", **kw)).records[0]
+        spec = tiny_spec(tmp_path / name, metric_every=3, **kw)
+        outcome = run_experiment(spec)
+        rec = outcome.records[0]
+        probes = sum(
+            1 for row in read_trace(outcome.trace_paths[(rec.method, rec.seed)])
+            if row["obj_probe"] is not None
+        )
+        assert probes > 0 and rec.metric_draws == spec.metric_samples * (probes + 2)
+        assert quiet.metric_draws == 2 * spec.metric_samples
+        assert (rec.draws, rec.iterations) == (quiet.draws, quiet.iterations)
+        assert rec.draws <= spec.budget
 
 
 def test_plotdata_rows_and_errors(tmp_path):
